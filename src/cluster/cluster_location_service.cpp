@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "cluster/replication.hpp"
 #include "orb/shm.hpp"
 #include "orb/tcp.hpp"
 #include "util/bytes.hpp"
@@ -130,42 +131,60 @@ bool ClusterLocationService::dualReadWindowOpen() const {
   return state && state->window;
 }
 
-void ClusterLocationService::applyRingMembers(const RingMemberMap& members) {
-  auto old = shardsSnapshot();
-  auto oldState = ringSnapshot();
+void ClusterLocationService::setEndpoint(const std::shared_ptr<Shard>& shard,
+                                         const std::optional<core::Endpoint>& fresh,
+                                         std::vector<std::shared_ptr<Shard>>& lost) {
+  std::lock_guard lock(shard->connectMutex);
+  if (shard->endpoint == fresh) return;
+  shard->endpoint = fresh;
+  if (!shard->client) return;
+  shard->client.reset();
+  lost.push_back(shard);
+}
+
+std::shared_ptr<std::vector<std::shared_ptr<ClusterLocationService::Shard>>>
+ClusterLocationService::mergeMembers(const RingMemberMap& members,
+                                     std::unordered_map<std::string, std::size_t>& slotOf,
+                                     bool keepLapsed, std::vector<std::shared_ptr<Shard>>& lost) {
   auto shards = std::make_shared<std::vector<std::shared_ptr<Shard>>>();
-  auto state = std::make_shared<RingState>();
-  if (old) {
-    *shards = *old;
-    state->slotOf = oldState->slotOf;
-  }
-  std::vector<std::shared_ptr<Shard>> lostConnection;
+  if (auto old = shardsSnapshot()) *shards = *old;
   for (std::size_t i = 0; i < members.tokens.size(); ++i) {
     const std::string& token = members.tokens[i];
     const std::optional<core::Endpoint>& fresh = members.endpoints[i];
-    auto slot = state->slotOf.find(token);
-    if (slot == state->slotOf.end()) {
+    auto slot = slotOf.find(token);
+    if (slot == slotOf.end()) {
       auto shard = std::make_shared<Shard>(options_.retry);
       shard->index = shards->size();
       shard->token = token;
       shard->endpoint = fresh;
-      state->slotOf.emplace(token, shard->index);
+      slotOf.emplace(token, shard->index);
       shards->push_back(std::move(shard));
-      continue;
-    }
-    Shard& shard = *(*shards)[slot->second];
-    std::unique_lock lock(shard.connectMutex);
-    if (shard.endpoint == fresh) continue;
-    // A changed endpoint is a promotion (same name, the backup's address):
-    // drop the dead primary's connection and carry on — no window needed,
-    // the backup holds every acked reading.
-    shard.endpoint = fresh;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      lostConnection.push_back((*shards)[slot->second]);
+    } else if (fresh || !keepLapsed) {
+      // A changed endpoint is a promotion (same name, the backup's
+      // address): drop the dead primary's connection and carry on.
+      setEndpoint((*shards)[slot->second], fresh, lost);
     }
   }
+  {
+    // Grow every subscription's per-shard id vector BEFORE the wider shard
+    // list is visible, so a replay on a new member never indexes past the
+    // end.
+    std::lock_guard lock(subsMutex_);
+    for (auto& [id, sub] : subs_) {
+      if (sub->shardSubIds.size() < shards->size()) sub->shardSubIds.resize(shards->size(), 0);
+    }
+  }
+  return shards;
+}
+
+void ClusterLocationService::applyRingMembers(const RingMemberMap& members) {
+  auto oldState = ringSnapshot();
+  auto state = std::make_shared<RingState>();
+  if (oldState) state->slotOf = oldState->slotOf;
+  std::vector<std::shared_ptr<Shard>> lostConnection;
+  // No window for a changed endpoint: a promoted backup holds every acked
+  // reading.
+  auto shards = mergeMembers(members, state->slotOf, /*keepLapsed=*/false, lostConnection);
   HashRing fresh(members.tokens);
   if (!oldState) {
     state->ring = fresh;
@@ -196,24 +215,7 @@ void ClusterLocationService::applyRingMembers(const RingMemberMap& members) {
   for (const auto& [token, slot] : state->slotOf) {
     if (std::binary_search(members.tokens.begin(), members.tokens.end(), token)) continue;
     if (state->window && state->prev.hasMember(token)) continue;
-    Shard& shard = *(*shards)[slot];
-    std::unique_lock lock(shard.connectMutex);
-    if (!shard.endpoint) continue;
-    shard.endpoint = std::nullopt;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      lostConnection.push_back((*shards)[slot]);
-    }
-  }
-  {
-    // Grow every subscription's per-shard id vector BEFORE the wider shard
-    // list is visible, so a replay on a new member never indexes past the
-    // end.
-    std::lock_guard lock(subsMutex_);
-    for (auto& [id, sub] : subs_) {
-      if (sub->shardSubIds.size() < shards->size()) sub->shardSubIds.resize(shards->size(), 0);
-    }
+    setEndpoint((*shards)[slot], std::nullopt, lostConnection);
   }
   {
     std::lock_guard lock(shardsMutex_);
@@ -224,53 +226,17 @@ void ClusterLocationService::applyRingMembers(const RingMemberMap& members) {
 }
 
 void ClusterLocationService::applySpaceMembers(const RingMemberMap& members) {
-  auto old = shardsSnapshot();
-  auto shards = std::make_shared<std::vector<std::shared_ptr<Shard>>>();
   std::unordered_map<std::string, std::size_t> slotOf;
   {
     std::lock_guard lock(spatialMutex_);
     slotOf = spaceSlotOf_;
   }
-  if (old) *shards = *old;
   std::vector<std::shared_ptr<Shard>> lostConnection;
-  for (std::size_t i = 0; i < members.tokens.size(); ++i) {
-    const std::string& token = members.tokens[i];
-    const std::optional<core::Endpoint>& fresh = members.endpoints[i];
-    auto slot = slotOf.find(token);
-    if (slot == slotOf.end()) {
-      auto shard = std::make_shared<Shard>(options_.retry);
-      shard->index = shards->size();
-      shard->token = token;
-      shard->endpoint = fresh;
-      slotOf.emplace(token, shard->index);
-      shards->push_back(std::move(shard));
-      continue;
-    }
-    if (!fresh) {
-      // A lapsed heartbeat is not a territory reassignment: the member's
-      // rectangles still belong to it (failover is replication's job —
-      // a promoted backup reappears under the SAME name), so keep the
-      // endpoint rather than blackholing a whole territory.
-      continue;
-    }
-    Shard& shard = *(*shards)[slot->second];
-    std::unique_lock lock(shard.connectMutex);
-    if (shard.endpoint == fresh) continue;
-    shard.endpoint = fresh;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      lostConnection.push_back((*shards)[slot->second]);
-    }
-  }
-  {
-    // Grow every subscription's per-shard id vector BEFORE the wider shard
-    // list is visible (same invariant as ring mode).
-    std::lock_guard lock(subsMutex_);
-    for (auto& [id, sub] : subs_) {
-      if (sub->shardSubIds.size() < shards->size()) sub->shardSubIds.resize(shards->size(), 0);
-    }
-  }
+  // A lapsed heartbeat is not a territory reassignment: the member's
+  // rectangles still belong to it (failover is replication's job — a
+  // promoted backup reappears under the SAME name), so keep the endpoint
+  // rather than blackholing a whole territory.
+  auto shards = mergeMembers(members, slotOf, /*keepLapsed=*/true, lostConnection);
   {
     std::lock_guard lock(shardsMutex_);
     shards_ = std::move(shards);
@@ -318,6 +284,9 @@ void ClusterLocationService::applySpaceMembers(const RingMemberMap& members) {
 }
 
 void ClusterLocationService::refreshShardMap() {
+  // Ingest threads refresh on a shard's kMovedError too; one at a time, so
+  // no merge works from a snapshot another one is replacing.
+  std::lock_guard refresh(refreshMutex_);
   if (options_.partitioning == Partitioning::Spatial) {
     applySpaceMembers(resolveSpaceMembers(registry_));
     return;
@@ -334,18 +303,11 @@ void ClusterLocationService::refreshShardMap() {
         "); repartitioning needs a new router");
   }
   auto shards = shardsSnapshot();
+  std::vector<std::shared_ptr<Shard>> lostConnection;
   for (std::size_t i = 0; i < total_; ++i) {
-    Shard& shard = *(*shards)[i];
-    const std::optional<core::Endpoint> fresh = map.total == 0 ? std::nullopt : map.endpoints[i];
-    std::unique_lock lock(shard.connectMutex);
-    if (shard.endpoint == fresh) continue;
-    shard.endpoint = fresh;
-    if (shard.client) {
-      shard.client.reset();
-      lock.unlock();
-      clearShardSubscriptions(shard);
-    }
+    setEndpoint((*shards)[i], map.total == 0 ? std::nullopt : map.endpoints[i], lostConnection);
   }
+  for (const auto& shard : lostConnection) clearShardSubscriptions(*shard);
 }
 
 ClusterLocationService::Route ClusterLocationService::routeFor(
@@ -468,64 +430,32 @@ bool ClusterLocationService::migrateObjects(const std::string& from, const std::
   }
   if (!loserClient || !gainerClient || !gainerEndpoint) return false;
 
-  std::uint64_t sessionId = 0;
-  std::vector<util::MobileObjectId> affected;
+  MigrateSession session;
+  const std::vector<util::MobileObjectId>& affected = session.objects;
   const char* step = "begin";
   try {
-    // 1. Loser installs the handoff session (its tap starts consuming the
-    //    moving objects' readings) and reports the full affected set —
-    //    explicit objects plus residents of the migrated rects.
-    {
-      util::ByteWriter w;
-      w.str(to);
-      w.str(gainerEndpoint->host);
-      w.u16(gainerEndpoint->port);
-      w.str(gainerEndpoint->shmName);
-      w.u32(static_cast<std::uint32_t>(explicitObjects.size()));
-      for (const auto& object : explicitObjects) w.str(object.str());
-      w.u32(static_cast<std::uint32_t>(rects.size()));
-      for (const auto& rect : rects) {
-        w.f64(rect.lo().x);
-        w.f64(rect.lo().y);
-        w.f64(rect.hi().x);
-        w.f64(rect.hi().y);
-      }
-      const util::Bytes reply = loserClient->rpc()->call("territory.migrateBegin", w.take());
-      util::ByteReader r(reply);
-      sessionId = r.u64();
-      const std::uint32_t count = r.u32();
-      affected.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        affected.emplace_back(util::MobileObjectId{r.str()});
-      }
-    }
+    // 1. Loser installs the session (its tap starts consuming the moving
+    //    objects' readings) and reports the full affected set — explicit
+    //    objects plus residents of the migrated rects.
+    session = migrateBegin(*loserClient->rpc(),
+                           MigrateBegin{to, *gainerEndpoint, {}, explicitObjects, rects});
     // 2. Gainer prunes its own stale forwarding sessions BEFORE any forward
     //    can arrive — an object migrating back must not chase its own tail.
     step = "adopt";
-    {
-      util::ByteWriter w;
-      w.u32(static_cast<std::uint32_t>(affected.size()));
-      for (const auto& object : affected) w.str(object.str());
-      gainerClient->rpc()->call("territory.adopt", w.take());
-    }
+    migrateAdopt(*gainerClient->rpc(), affected);
     // 3. Mark moving: ingest keeps targeting the loser (whose session now
     //    buffers these objects' readings), reads double-route new-then-old.
     {
       std::lock_guard lock(spatialMutex_);
       for (const auto& object : affected) moving_[object] = Move{from, to};
     }
-    // 4. Log replay: importBatch stores quietly — the triggers these
-    //    readings matched already fired where they were first ingested.
-    step = "export";
-    for (const auto& object : affected) {
-      auto log = loserClient->exportReadings(object);
-      if (!log.empty()) gainerClient->importBatch(log);
-    }
-    // 5. Spill subscriptions against the coverage the gainer is ABOUT to
+    // 4. Spill subscriptions against the coverage the gainer is ABOUT to
     //    have, before the flush, so the flushed buffered readings find
-    //    their triggers registered. (Registration is monotone: an extra
-    //    shard carrying a trigger is harmless — one home per object means
-    //    no duplicate notifications.)
+    //    their triggers registered, and before the import, so a density
+    //    rule's seed on the gainer does not count objects the loser still
+    //    holds. (Registration is monotone: an extra shard carrying a
+    //    trigger is harmless — one home per object means no duplicate
+    //    notifications.)
     TerritoryMap coverage;
     if (newMap) {
       coverage = *newMap;
@@ -535,37 +465,42 @@ bool ClusterLocationService::migrateObjects(const std::string& from, const std::
     }
     step = "spill";
     spillSubscriptionsOnto(*gainer, to, coverage);
-    step = "flush";
+    // 5. Log replay: importBatch stores quietly — the triggers these
+    //    readings matched already fired where they were first ingested.
+    step = "export";
+    for (const auto& object : affected) {
+      auto log = loserClient->exportReadings(object);
+      if (!log.empty()) gainerClient->importBatch(log);
+    }
     // 6. Flush: buffered readings drain into the gainer (export first, then
     //    buffer FIFO — per-object order holds), session switches to live
     //    forwarding.
-    {
-      util::ByteWriter w;
-      w.u64(sessionId);
-      const util::Bytes reply = loserClient->rpc()->call("territory.flush", w.take());
-      util::ByteReader r(reply);
-      if (!r.boolean()) {
-        throw mw::util::TransportError("territory.flush refused (session lost?)");
-      }
+    step = "flush";
+    if (!migrateFlush(*loserClient->rpc(), session.id)) {
+      throw mw::util::TransportError("migrate.flush refused (session lost?)");
     }
-    // 7. End: the loser drops the moved objects' local state; the session
-    //    keeps forwarding stragglers that raced the home flip.
+    // 7. The gainer recounts its density rules for the moved objects. Its
+    //    notifications reach this router on the connection the reply comes
+    //    back on, so they are folded in before the loser's drop below is.
+    // The flush committed the move, so a failed recount only warns.
+    try {
+      migrateAdopt(*gainerClient->rpc(), affected);
+    } catch (const util::MwError& e) {
+      util::logWarn("ClusterLocationService", "density recount on ", to, " failed: ", e.what());
+    }
+    // 8. End: the loser drops the moved objects and recounts its density
+    //    rules; the session keeps forwarding stragglers that raced the home
+    //    flip.
     step = "end";
-    {
-      util::ByteWriter w;
-      w.u64(sessionId);
-      const util::Bytes reply = loserClient->rpc()->call("territory.end", w.take());
-      util::ByteReader r(reply);
-      if (!r.boolean()) {
-        util::logWarn("ClusterLocationService", "territory.end refused by ", from,
-                      "; moved objects linger there until the next migration");
-      }
+    if (!migrateEnd(*loserClient->rpc(), session.id)) {
+      util::logWarn("ClusterLocationService", "migrate.end refused by ", from,
+                    "; moved objects linger there until the next migration");
     }
   } catch (const util::MwError& e) {
-    // Homes stay put and ingest keeps flowing to the loser. Nothing is
-    // lost: the loser's session (where installed) keeps consuming the
-    // objects' readings, and the next migration attempt's migrateBegin
-    // prunes it and starts over.
+    // Homes stay put and ingest keeps flowing to the loser, whose session
+    // (where installed) keeps buffering the objects' readings until the
+    // next migration attempt's migrate.begin prunes it, buffer and all, and
+    // starts over.
     {
       std::lock_guard lock(spatialMutex_);
       for (const auto& object : affected) moving_.erase(object);
@@ -574,7 +509,7 @@ bool ClusterLocationService::migrateObjects(const std::string& from, const std::
                   ": ", e.what());
     return false;
   }
-  // 8. The flip: from here reads and ingest route to the gainer.
+  // 9. The flip: from here reads and ingest route to the gainer.
   util::Bytes encoded;
   std::uint64_t publishVersion = 0;
   {
@@ -881,66 +816,145 @@ void ClusterLocationService::probeDownShards() {
 
 // --- object-routed calls ------------------------------------------------------
 
-void ClusterLocationService::ingest(const db::SensorReading& reading) {
-  auto shards = shardsSnapshot();
-  Route route;
-  std::optional<geo::Point2> center;
+ClusterLocationService::Route ClusterLocationService::routeOf(
+    const std::vector<std::shared_ptr<Shard>>& shards, const RingState* state,
+    const util::MobileObjectId& object, const geo::Point2* ingestAt) {
   if (options_.partitioning == Partitioning::Spatial) {
-    center = reading.rect().center();
-    route = spatialRouteFor(*shards, reading.mobileObjectId, &*center, /*ingestPath=*/true);
-  } else {
-    auto state = ringSnapshot();
-    route = routeFor(*shards, state.get(), reading.mobileObjectId, /*ingestPath=*/true);
+    return spatialRouteFor(shards, object, ingestAt, /*ingestPath=*/ingestAt != nullptr);
   }
-  auto ok = callShard<bool>(*route.target, [&](core::RemoteLocationClient& client) {
-    client.ingest(reading);
+  return routeFor(shards, state, object, /*ingestPath=*/ingestAt != nullptr);
+}
+
+template <typename R>
+std::optional<R> ClusterLocationService::readRouted(
+    const util::MobileObjectId& object, const std::function<R(core::RemoteLocationClient&)>& fn,
+    const std::function<bool(const R&)>& answered) {
+  const Route route = routeOf(*shardsSnapshot(), ringSnapshot().get(), object, nullptr);
+  auto result = callShard<R>(*route.target, fn);
+  if ((result && answered(*result)) || !route.fallback) {
+    if (!result) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
+    return result;
+  }
+  // Dual-read window or mid-migration: the new owner has no evidence yet —
+  // the previous owner is still authoritative for this object.
+  auto fallback = callShard<R>(*route.fallback, fn);
+  if (fallback && answered(*fallback)) return fallback;
+  if (!result && !fallback) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
+  return result ? result : fallback;
+}
+
+std::optional<bool> ClusterLocationService::sendIngest(
+    Shard& shard, const std::function<void(core::RemoteLocationClient&)>& send, bool& moved) {
+  try {
+    return callShard<bool>(shard, [&](core::RemoteLocationClient& client) {
+      send(client);
+      return true;
+    });
+  } catch (const util::MwError& e) {
+    if (std::string_view(e.what()).find(kMovedError) == std::string_view::npos) throw;
+    moved = true;
+    return std::nullopt;
+  }
+}
+
+bool ClusterLocationService::refreshAfterMoved() {
+  try {
+    refreshShardMap();
     return true;
-  });
+  } catch (const util::MwError&) {
+    return false;
+  }
+}
+
+void ClusterLocationService::ingest(const db::SensorReading& reading) {
+  const auto send = [&](core::RemoteLocationClient& client) { client.ingest(reading); };
+  const geo::Point2 center = reading.rect().center();
+  const auto target = [&] {
+    return routeOf(*shardsSnapshot(), ringSnapshot().get(), reading.mobileObjectId, &center).target;
+  };
+  const auto first = target();
+  bool moved = false;
+  auto ok = sendIngest(*first, send, moved);
+  if (moved) {
+    // Refused by a shard that retired the migration session this router's
+    // map still relies on: refresh the map and route once more.
+    if (refreshAfterMoved()) ok = sendIngest(*target(), send, moved);
+  } else if (!ok && options_.partitioning == Partitioning::Ring) {
+    // A refresh closing the dual-read window may have cleared the previous
+    // owner's endpoint under this call: route once more if the route moved.
+    if (const auto again = target(); again != first) ok = sendIngest(*again, send, moved);
+  }
   if (!ok) {
     failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
     droppedIngestReadings_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (center) maybeMigrateAfterIngest(reading.mobileObjectId, *center);
+  if (options_.partitioning == Partitioning::Spatial) {
+    maybeMigrateAfterIngest(reading.mobileObjectId, center);
+  }
+}
+
+std::vector<db::SensorReading> ClusterLocationService::sendBatch(
+    std::span<const db::SensorReading> readings, bool& moved) {
+  // Partition by target shard; a stable partition keeps each object's
+  // readings in their original relative order inside its sub-batch.
+  auto shards = shardsSnapshot();
+  auto state = ringSnapshot();
+  std::vector<std::vector<db::SensorReading>> parts(shards->size());
+  for (const auto& reading : readings) {
+    const geo::Point2 center = reading.rect().center();
+    parts[routeOf(*shards, state.get(), reading.mobileObjectId, &center).target->index].push_back(
+        reading);
+  }
+  std::vector<db::SensorReading> unsent;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].empty()) continue;
+    bool partMoved = false;
+    auto ok = sendIngest(
+        *(*shards)[i],
+        [&](core::RemoteLocationClient& client) { client.ingestBatch(parts[i]); }, partMoved);
+    if (ok) continue;
+    // Refused as moved, or failed while a refresh moved the route (see
+    // ingest()): the caller routes the part once more.
+    const bool rerouted =
+        partMoved || (options_.partitioning == Partitioning::Ring &&
+                      routeFor(*shardsSnapshot(), ringSnapshot().get(),
+                               parts[i].front().mobileObjectId, /*ingestPath=*/true)
+                              .target->index != i);
+    if (rerouted) {
+      moved = moved || partMoved;
+      unsent.insert(unsent.end(), parts[i].begin(), parts[i].end());
+    } else {
+      failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
+      droppedIngestReadings_.fetch_add(parts[i].size(), std::memory_order_relaxed);
+    }
+  }
+  return unsent;
 }
 
 void ClusterLocationService::ingestBatch(std::span<const db::SensorReading> readings) {
   if (readings.empty()) return;
-  auto shards = shardsSnapshot();
-  auto state = ringSnapshot();
-  const bool spatial = options_.partitioning == Partitioning::Spatial;
-  // Partition by target shard; a stable partition keeps each object's
-  // readings in their original relative order inside its sub-batch. Spatial
-  // mode also tracks each object's LAST evidence center: a batch is applied
-  // entirely at the current homes first, then crossings migrate.
-  std::vector<std::vector<db::SensorReading>> parts(shards->size());
+  bool moved = false;
+  std::vector<db::SensorReading> unsent = sendBatch(readings, moved);
+  if (!unsent.empty() && (!moved || refreshAfterMoved())) {
+    bool again = false;
+    unsent = sendBatch(unsent, again);
+  }
+  if (!unsent.empty()) {
+    failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
+    droppedIngestReadings_.fetch_add(unsent.size(), std::memory_order_relaxed);
+  }
+  if (options_.partitioning != Partitioning::Spatial) return;
+  // A batch is applied entirely at the current homes first, then each
+  // object whose LAST evidence center left its home migrates.
   std::vector<std::pair<util::MobileObjectId, geo::Point2>> lastCenter;
   std::unordered_map<util::MobileObjectId, std::size_t> lastCenterIndex;
   for (const auto& reading : readings) {
-    Route route;
-    if (spatial) {
-      const geo::Point2 center = reading.rect().center();
-      route = spatialRouteFor(*shards, reading.mobileObjectId, &center, /*ingestPath=*/true);
-      auto [it, inserted] = lastCenterIndex.emplace(reading.mobileObjectId, lastCenter.size());
-      if (inserted) {
-        lastCenter.emplace_back(reading.mobileObjectId, center);
-      } else {
-        lastCenter[it->second].second = center;
-      }
+    const geo::Point2 center = reading.rect().center();
+    auto [it, inserted] = lastCenterIndex.emplace(reading.mobileObjectId, lastCenter.size());
+    if (inserted) {
+      lastCenter.emplace_back(reading.mobileObjectId, center);
     } else {
-      route = routeFor(*shards, state.get(), reading.mobileObjectId, /*ingestPath=*/true);
-    }
-    parts[route.target->index].push_back(reading);
-  }
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i].empty()) continue;
-    Shard& shard = *(*shards)[i];
-    auto ok = callShard<bool>(shard, [&](core::RemoteLocationClient& client) {
-      client.ingestBatch(parts[i]);
-      return true;
-    });
-    if (!ok) {
-      failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-      droppedIngestReadings_.fetch_add(parts[i].size(), std::memory_order_relaxed);
+      lastCenter[it->second].second = center;
     }
   }
   for (const auto& [object, center] : lastCenter) maybeMigrateAfterIngest(object, center);
@@ -948,54 +962,17 @@ void ClusterLocationService::ingestBatch(std::span<const db::SensorReading> read
 
 std::optional<fusion::LocationEstimate> ClusterLocationService::locate(
     const util::MobileObjectId& object) {
-  auto shards = shardsSnapshot();
-  Route route;
-  if (options_.partitioning == Partitioning::Spatial) {
-    route = spatialRouteFor(*shards, object, nullptr, /*ingestPath=*/false);
-  } else {
-    auto state = ringSnapshot();
-    route = routeFor(*shards, state.get(), object, /*ingestPath=*/false);
-  }
-  auto result = callShard<std::optional<fusion::LocationEstimate>>(
-      *route.target, [&](core::RemoteLocationClient& client) { return client.locate(object); });
-  if (result && result->has_value()) return *result;
-  if (route.fallback) {
-    // Dual-read window: the new owner has no evidence yet — the previous
-    // owner is still authoritative for this object.
-    auto fallback = callShard<std::optional<fusion::LocationEstimate>>(
-        *route.fallback,
-        [&](core::RemoteLocationClient& client) { return client.locate(object); });
-    if (fallback && fallback->has_value()) return *fallback;
-    if (!result && !fallback) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-    return std::nullopt;
-  }
-  if (!result) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-  return std::nullopt;
+  using Estimate = std::optional<fusion::LocationEstimate>;
+  auto result = readRouted<Estimate>(
+      object, [&](core::RemoteLocationClient& client) { return client.locate(object); },
+      [](const Estimate& estimate) { return estimate.has_value(); });
+  return result ? *result : std::nullopt;
 }
 
 std::string ClusterLocationService::locateSymbolic(const util::MobileObjectId& object) {
-  auto shards = shardsSnapshot();
-  Route route;
-  if (options_.partitioning == Partitioning::Spatial) {
-    route = spatialRouteFor(*shards, object, nullptr, /*ingestPath=*/false);
-  } else {
-    auto state = ringSnapshot();
-    route = routeFor(*shards, state.get(), object, /*ingestPath=*/false);
-  }
-  auto result = callShard<std::string>(*route.target, [&](core::RemoteLocationClient& client) {
-    return client.locateSymbolic(object);
-  });
-  if (result && !result->empty()) return *result;
-  if (route.fallback) {
-    auto fallback =
-        callShard<std::string>(*route.fallback, [&](core::RemoteLocationClient& client) {
-          return client.locateSymbolic(object);
-        });
-    if (fallback && !fallback->empty()) return *fallback;
-    if (!result && !fallback) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
-    return "";
-  }
-  if (!result) failedRoutedCalls_.fetch_add(1, std::memory_order_relaxed);
+  auto result = readRouted<std::string>(
+      object, [&](core::RemoteLocationClient& client) { return client.locateSymbolic(object); },
+      [](const std::string& name) { return !name.empty(); });
   return result ? *result : "";
 }
 
@@ -1161,14 +1138,17 @@ std::vector<std::pair<util::MobileObjectId, double>> ClusterLocationService::obj
 util::SubscriptionId ClusterLocationService::subscribe(
     const geo::Rect& region, std::optional<util::MobileObjectId> subject, double threshold,
     std::function<void(const core::Notification&)> callback) {
-  auto shards = shardsSnapshot();
   auto sub = std::make_shared<ClusterSub>();
   sub->region = region;
   sub->subject = std::move(subject);
   sub->threshold = threshold;
   sub->callback = std::move(callback);
-  sub->shardSubIds.assign(shards->size(), 0);
+  return fanOut(std::move(sub));
+}
 
+util::SubscriptionId ClusterLocationService::fanOut(std::shared_ptr<ClusterSub> sub) {
+  auto shards = shardsSnapshot();
+  sub->shardSubIds.assign(shards->size(), 0);
   util::SubscriptionId clusterId;
   {
     std::lock_guard lock(subsMutex_);
@@ -1180,7 +1160,7 @@ util::SubscriptionId ClusterLocationService::subscribe(
     // home an object triggering it; migration spills the subscription onto
     // shards that gain intersecting territory later.
     if (options_.partitioning == Partitioning::Spatial &&
-        !territoryCovers(shard->token, region)) {
+        !territoryCovers(shard->token, sub->region)) {
       continue;
     }
     subscribeOnShard(*shard, clusterId, sub);
@@ -1191,37 +1171,23 @@ util::SubscriptionId ClusterLocationService::subscribe(
 util::SubscriptionId ClusterLocationService::subscribeDensity(
     const geo::Rect& region, double minProbability, std::size_t limit,
     std::function<void(const core::DensityNotification&)> callback) {
-  auto shards = shardsSnapshot();
   auto sub = std::make_shared<ClusterSub>();
   sub->region = region;
   sub->threshold = minProbability;
   sub->limit = limit;
   sub->densityCallback = std::move(callback);
   sub->agg = std::make_shared<DensityAgg>();
-  sub->shardSubIds.assign(shards->size(), 0);
-
-  util::SubscriptionId clusterId;
-  {
-    std::lock_guard lock(subsMutex_);
-    clusterId = subIds_.next();
-    subs_.emplace(clusterId.value(), sub);
-  }
-  for (const auto& shard : *shards) {
-    if (options_.partitioning == Partitioning::Spatial &&
-        !territoryCovers(shard->token, region)) {
-      continue;
-    }
-    subscribeOnShard(*shard, clusterId, sub);
-  }
-  return clusterId;
+  return fanOut(std::move(sub));
 }
 
 void ClusterLocationService::reportDensityCount(ClusterSub& sub, util::SubscriptionId clusterId,
                                                 std::size_t shardIndex, std::uint64_t count,
                                                 bool seed, const util::MobileObjectId& object,
                                                 util::TimePoint when) {
+  // One delivery at a time per subscription: totals reach the callback in
+  // the order they were summed, so the last one delivered is the current sum.
+  std::lock_guard delivery(sub.agg->deliverMutex);
   core::DensityNotification out;
-  bool fire = false;
   {
     std::lock_guard lock(sub.agg->mutex);
     if (seed) {
@@ -1234,21 +1200,43 @@ void ClusterLocationService::reportDensityCount(ClusterSub& sub, util::Subscript
     std::uint64_t total = 0;
     for (const auto& [index, shardCount] : sub.agg->countOf) total += shardCount;
     const bool over = total >= sub.limit;
-    if (over != sub.agg->lastOver) {
-      out.edge = over ? cq::CountEdge::Rose : cq::CountEdge::Fell;
-    }
-    fire = total != sub.agg->lastTotal || out.edge != cq::CountEdge::None;
+    if (over != sub.agg->lastOver) out.edge = over ? cq::CountEdge::Rose : cq::CountEdge::Fell;
+    const bool fire = total != sub.agg->lastTotal || out.edge != cq::CountEdge::None;
     sub.agg->lastTotal = total;
     sub.agg->lastOver = over;
+    if (!fire) return;
     out.count = static_cast<std::size_t>(total);
   }
-  if (!fire) return;
   out.id = clusterId;
   out.region = sub.region;
   out.limit = sub.limit;
   out.object = object;
   out.when = when;
   sub.densityCallback(out);
+}
+
+std::uint64_t ClusterLocationService::registerOn(core::RemoteLocationClient& client,
+                                                std::size_t shardIndex,
+                                                util::SubscriptionId clusterId,
+                                                const std::shared_ptr<ClusterSub>& sub) {
+  if (!sub->agg) {
+    auto emit = [callback = sub->callback, clusterId](const core::Notification& n) {
+      core::Notification out = n;
+      out.id = clusterId;  // one client-facing id, whichever shard matched
+      callback(out);
+    };
+    return client.subscribe(sub->region, sub->subject, sub->threshold, emit).value();
+  }
+  // The emit bridge captures the ClusterSub by shared_ptr: its density
+  // fields (region, limit, callback, agg) are immutable after creation, and
+  // the pin keeps the aggregation state alive past unsubscribe races.
+  auto emit = [sub, clusterId, shardIndex](const core::DensityNotification& n) {
+    reportDensityCount(*sub, clusterId, shardIndex, n.count, /*seed=*/false, n.object, n.when);
+  };
+  const auto handle = client.subscribeDensity(sub->region, sub->threshold, sub->limit, emit);
+  reportDensityCount(*sub, clusterId, shardIndex, handle.initialCount, /*seed=*/true,
+                     util::MobileObjectId{}, util::TimePoint{});
+  return handle.id.value();
 }
 
 void ClusterLocationService::subscribeOnShard(Shard& shard, util::SubscriptionId clusterId,
@@ -1261,33 +1249,10 @@ void ClusterLocationService::subscribeOnShard(Shard& shard, util::SubscriptionId
     if (slot != 0) return;
     slot = kSubPending;
   }
-  std::optional<std::uint64_t> shardSubId;
-  if (sub->agg) {
-    // The emit bridge captures the ClusterSub by shared_ptr: its density
-    // fields (region, limit, callback, agg) are immutable after creation,
-    // and the pin keeps the aggregation state alive past unsubscribe races.
-    auto emit = [sub, clusterId, shardIndex = shard.index](const core::DensityNotification& n) {
-      reportDensityCount(*sub, clusterId, shardIndex, n.count, /*seed=*/false, n.object, n.when);
-    };
-    auto handle = callShard<core::RemoteLocationClient::DensityHandle>(
-        shard, [&](core::RemoteLocationClient& client) {
-          return client.subscribeDensity(sub->region, sub->threshold, sub->limit, emit);
-        });
-    if (handle) {
-      shardSubId = handle->id.value();
-      reportDensityCount(*sub, clusterId, shard.index, handle->initialCount, /*seed=*/true,
-                         util::MobileObjectId{}, util::TimePoint{});
-    }
-  } else {
-    auto emit = [callback = sub->callback, clusterId](const core::Notification& n) {
-      core::Notification out = n;
-      out.id = clusterId;  // one client-facing id, whichever shard matched
-      callback(out);
-    };
-    shardSubId = callShard<std::uint64_t>(shard, [&](core::RemoteLocationClient& client) {
-      return client.subscribe(sub->region, sub->subject, sub->threshold, emit).value();
-    });
-  }
+  const auto shardSubId = callShard<std::uint64_t>(
+      shard, [&](core::RemoteLocationClient& client) {
+        return registerOn(client, shard.index, clusterId, sub);
+      });
   std::unique_lock lock(subsMutex_);
   const bool live = subs_.contains(clusterId.value());
   subSlot(sub->shardSubIds, shard.index) = (shardSubId && live) ? *shardSubId : 0;
@@ -1327,32 +1292,10 @@ void ClusterLocationService::replaySubscriptions(Shard& shard, core::RemoteLocat
   }
   for (auto& [clusterId, sub] : missing) {
     std::uint64_t shardSubId = 0;
-    std::optional<std::size_t> seedCount;
     try {
-      if (sub->agg) {
-        auto emit = [sub = sub, clusterId = clusterId,
-                     shardIndex = shard.index](const core::DensityNotification& n) {
-          reportDensityCount(*sub, clusterId, shardIndex, n.count, /*seed=*/false, n.object,
-                             n.when);
-        };
-        auto handle = client.subscribeDensity(sub->region, sub->threshold, sub->limit, emit);
-        shardSubId = handle.id.value();
-        seedCount = handle.initialCount;
-      } else {
-        auto emit = [callback = sub->callback,
-                     clusterId = clusterId](const core::Notification& n) {
-          core::Notification out = n;
-          out.id = clusterId;
-          callback(out);
-        };
-        shardSubId = client.subscribe(sub->region, sub->subject, sub->threshold, emit).value();
-      }
+      shardSubId = registerOn(client, shard.index, clusterId, sub);
     } catch (const util::TransportError&) {
       // Fresh connection already gone; the next reconnect replays again.
-    }
-    if (seedCount) {
-      reportDensityCount(*sub, clusterId, shard.index, *seedCount, /*seed=*/true,
-                         util::MobileObjectId{}, util::TimePoint{});
     }
     std::lock_guard lock(subsMutex_);
     subSlot(sub->shardSubIds, shard.index) = subs_.contains(clusterId.value()) ? shardSubId : 0;

@@ -38,7 +38,12 @@
 // needs no window at all. A planned departure (ShardHost::leaveRing) is the
 // same window in reverse: the leaver withdraws but keeps serving, so while
 // the window is open the router keeps routing moved-arc ingest to it even
-// though it no longer appears in the registry.
+// though it no longer appears in the registry. A previous owner forwards
+// such ingest only for a bounded straggler window (shard_host.hpp); after
+// it, it refuses the batch as moved (kMovedError), and the router refreshes
+// its map (closing the window) and routes the readings once more. A ring
+// ingest that failed because a refresh closed the window under it is
+// routed once more too.
 //
 // Spatial mode (Partitioning::Spatial): members are "location.space.*"
 // announcements and the partition key is WHERE, not WHO — a kd-split
@@ -51,8 +56,8 @@
 // A reading whose evidence box centers outside its object's home territory
 // is a boundary crossing: it is applied at the OLD home first (order), then
 // the router migrates the object's whole log to the new owner over the same
-// buffer-then-forward handoff sessions as a ring join (territory.* methods
-// on ShardHost), reads double-routing new-then-old until the flip.
+// buffer-then-forward sessions as a ring join (ShardHost's migrate.*
+// protocol), reads double-routing new-then-old until the flip.
 // rebalanceOnce() is the load balancer: it splits the hottest leaf and
 // migrates the new half to the coldest shard under live traffic, keeping
 // every answer byte-identical to the object-hash oracle for quiescent
@@ -234,7 +239,11 @@ class ClusterLocationService {
   /// sums the per-shard counts, firing `callback` on every total change with
   /// limit-crossing edges computed against the cluster-wide total. Shard
   /// registrations seed their initial counts as they attach, so the first
-  /// notifications walk the total up to the standing crowd.
+  /// notifications walk the total up to the standing crowd. `callback` runs
+  /// on a shard connection's reader thread, one delivery at a time across
+  /// all shards, so totals arrive in the order they were summed; while it
+  /// runs, replies from every shard wait. Keep it short, and do not call
+  /// this router from it.
   util::SubscriptionId subscribeDensity(const geo::Rect& region, double minProbability,
                                         std::size_t limit,
                                         std::function<void(const core::DensityNotification&)> callback);
@@ -297,7 +306,11 @@ class ClusterLocationService {
   /// memory. Guarded by its own mutex — shard notifications arrive on
   /// independent event-reader threads. May be locked with subsMutex_ held
   /// (clearShardSubscriptions); never take subsMutex_ under it.
+  /// `deliverMutex` spans one fold-and-deliver, so totals reach the callback
+  /// in the order they were summed; it is taken first and never under
+  /// subsMutex_.
   struct DensityAgg {
+    std::mutex deliverMutex;
     std::mutex mutex;
     std::unordered_map<std::size_t, std::uint64_t> countOf;  ///< shard index -> count
     std::uint64_t lastTotal = 0;
@@ -340,7 +353,43 @@ class ClusterLocationService {
   [[nodiscard]] Route routeFor(const std::vector<std::shared_ptr<Shard>>& shards,
                                const RingState* state, const util::MobileObjectId& object,
                                bool ingestPath) const;
+  /// routeFor or spatialRouteFor, whichever the partitioning uses; an
+  /// ingest passes the reading's evidence center, a read nullptr.
+  [[nodiscard]] Route routeOf(const std::vector<std::shared_ptr<Shard>>& shards,
+                              const RingState* state, const util::MobileObjectId& object,
+                              const geo::Point2* ingestAt);
+  /// An object-routed read: the route's target, then its fallback when the
+  /// target gave no `answered` reply. Counts a failed routed call when no
+  /// shard replied.
+  template <typename R>
+  std::optional<R> readRouted(const util::MobileObjectId& object,
+                              const std::function<R(core::RemoteLocationClient&)>& fn,
+                              const std::function<bool(const R&)>& answered);
+  /// One ingest call through callShard. A shard's kMovedError refusal (it
+  /// retired the migration session this router's stale map relies on) sets
+  /// `moved` and returns nullopt instead of throwing.
+  std::optional<bool> sendIngest(Shard& shard,
+                                 const std::function<void(core::RemoteLocationClient&)>& send,
+                                 bool& moved);
+  /// Routes and sends one batch; counts the parts that failed for good and
+  /// returns the readings to route once more (`moved` set when a shard
+  /// refused some as moved).
+  std::vector<db::SensorReading> sendBatch(std::span<const db::SensorReading> readings,
+                                           bool& moved);
+  /// refreshShardMap() after a moved refusal; false when it failed.
+  bool refreshAfterMoved();
 
+  /// Points the shard at `fresh`; a connection to the old endpoint is
+  /// dropped and the shard added to `lost` (whose subscriptions the caller
+  /// clears once the new shard list is published).
+  void setEndpoint(const std::shared_ptr<Shard>& shard, const std::optional<core::Endpoint>& fresh,
+                   std::vector<std::shared_ptr<Shard>>& lost);
+  /// A copy of the shard list with resolved members merged in: a new token
+  /// gets the next slot (recorded in `slotOf`), a known one its endpoint —
+  /// unless it lapsed and `keepLapsed`. Subscription id vectors grow first.
+  std::shared_ptr<std::vector<std::shared_ptr<Shard>>> mergeMembers(
+      const RingMemberMap& members, std::unordered_map<std::string, std::size_t>& slotOf,
+      bool keepLapsed, std::vector<std::shared_ptr<Shard>>& lost);
   /// Merges freshly resolved ring members into the shard list + ring state
   /// (constructor and every ring-mode refresh).
   void applyRingMembers(const RingMemberMap& members);
@@ -419,6 +468,15 @@ class ClusterLocationService {
       const std::vector<std::shared_ptr<Shard>>& shards,
       const std::function<R(core::RemoteLocationClient&)>& fn);
 
+  /// Registers a new cluster subscription and fans it out to every shard
+  /// that can match it.
+  util::SubscriptionId fanOut(std::shared_ptr<ClusterSub> sub);
+
+  /// Registers `sub` on one shard's connection (a density rule also seeds
+  /// the shard's count) and returns the shard-side subscription id.
+  static std::uint64_t registerOn(core::RemoteLocationClient& client, std::size_t shardIndex,
+                                  util::SubscriptionId clusterId,
+                                  const std::shared_ptr<ClusterSub>& sub);
   /// Registers one cluster subscription on one shard under the claim
   /// protocol (either the initial fan-out or a reconnect replay registers,
   /// never both; failures leave the slot empty for the next replay).
@@ -446,6 +504,8 @@ class ClusterLocationService {
   /// ringState_ is published under the same lock so a reader's shard list
   /// and ring always agree.
   mutable std::mutex shardsMutex_;
+  /// Serializes refreshShardMap().
+  std::mutex refreshMutex_;
   std::shared_ptr<std::vector<std::shared_ptr<Shard>>> shards_;
   std::shared_ptr<const RingState> ringState_;
 

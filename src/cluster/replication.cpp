@@ -1,8 +1,10 @@
 #include "cluster/replication.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
+#include "core/codec.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -59,35 +61,39 @@ void ReplicationLink::mirror(std::span<const db::SensorReading> batch) {
 
 // --- HandoffSession -----------------------------------------------------------
 
-HandoffSession::HandoffSession(std::string joinerToken, std::vector<RingArc> arcs,
-                               std::shared_ptr<core::RemoteLocationClient> client)
-    : joinerToken_(std::move(joinerToken)), arcs_(std::move(arcs)), client_(std::move(client)) {
-  mw::util::require(client_ != nullptr, "HandoffSession: null client");
-  mw::util::require(!arcs_.empty(), "HandoffSession: no arcs");
-}
-
-HandoffSession::HandoffSession(std::string joinerToken,
+HandoffSession::HandoffSession(std::string gainerToken, std::vector<RingArc> arcs,
                                std::vector<util::MobileObjectId> objects,
-                               std::shared_ptr<core::RemoteLocationClient> client)
-    : joinerToken_(std::move(joinerToken)),
-      objects_(std::make_move_iterator(objects.begin()),
-               std::make_move_iterator(objects.end())),
-      client_(std::move(client)) {
-  mw::util::require(client_ != nullptr, "HandoffSession: null client");
+                               std::shared_ptr<core::RemoteLocationClient> gainer)
+    : gainerToken_(std::move(gainerToken)),
+      arcs_(std::move(arcs)),
+      objects_(std::make_move_iterator(objects.begin()), std::make_move_iterator(objects.end())),
+      gainer_(std::move(gainer)) {
+  mw::util::require(gainer_ != nullptr, "HandoffSession: null gainer client");
 }
 
 bool HandoffSession::covers(const util::MobileObjectId& object) const {
   std::shared_lock lock(coverMutex_);
-  if (removed_.contains(object)) return false;
   if (arcs_.empty()) return objects_.contains(object);
+  if (removed_.contains(object)) return false;
   const std::uint64_t key = objectRingKey(object);
   return std::any_of(arcs_.begin(), arcs_.end(),
                      [&](const RingArc& arc) { return arc.contains(key); });
 }
 
-void HandoffSession::removeObjects(std::span<const util::MobileObjectId> objects) {
+bool HandoffSession::removeObjects(std::span<const util::MobileObjectId> objects) {
   std::unique_lock lock(coverMutex_);
-  for (const auto& object : objects) removed_.insert(object);
+  if (!arcs_.empty()) {
+    for (const auto& object : objects) removed_.insert(object);
+    return false;
+  }
+  const bool had = !objects_.empty();
+  for (const auto& object : objects) objects_.erase(object);
+  return had && objects_.empty();
+}
+
+std::vector<util::MobileObjectId> HandoffSession::objects() const {
+  std::shared_lock lock(coverMutex_);
+  return {objects_.begin(), objects_.end()};
 }
 
 std::vector<db::SensorReading> HandoffSession::filter(std::vector<db::SensorReading> batch) {
@@ -100,18 +106,15 @@ std::vector<db::SensorReading> HandoffSession::filter(std::vector<db::SensorRead
   if (mine.empty()) return rest;
   std::lock_guard lock(mutex_);
   if (!forwarding_.load(std::memory_order_relaxed)) {
-    bufferedReadings_.fetch_add(mine.size(), std::memory_order_relaxed);
     buffer_.insert(buffer_.end(), std::make_move_iterator(mine.begin()),
                    std::make_move_iterator(mine.end()));
     return rest;
   }
   try {
-    client_->ingestBatch(mine);
-    forwardedReadings_.fetch_add(mine.size(), std::memory_order_relaxed);
+    gainer_->ingestBatch(mine);
   } catch (const util::MwError&) {
-    failures_.fetch_add(mine.size(), std::memory_order_relaxed);
-    util::logWarn("HandoffSession", " forward to ", joinerToken_, " failed; ", mine.size(),
-                  " reading(s) lost to the joiner");
+    util::logWarn("HandoffSession", " forward to ", gainerToken_, " failed; ", mine.size(),
+                  " reading(s) lost to the gainer");
   }
   return rest;
 }
@@ -120,44 +123,141 @@ bool HandoffSession::flush() {
   std::lock_guard lock(mutex_);
   if (!buffer_.empty()) {
     try {
-      client_->ingestBatch(buffer_);
+      gainer_->ingestBatch(buffer_);
     } catch (const util::MwError&) {
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      util::logWarn("HandoffSession", " flush to ", joinerToken_,
+      util::logWarn("HandoffSession", " flush to ", gainerToken_,
                     " failed; keeping buffer for retry");
       return false;
     }
-    forwardedReadings_.fetch_add(buffer_.size(), std::memory_order_relaxed);
     buffer_.clear();
   }
   // Same lock as the buffering branch of filter(): no reading can observe
-  // "buffering" after the drain — the order at the joiner is exactly
+  // "buffering" after the drain — the order at the gainer is exactly
   // buffer FIFO then forward FIFO.
   forwarding_.store(true, std::memory_order_release);
   return true;
 }
 
-// --- wire helpers -------------------------------------------------------------
+// --- migrate.* wire -----------------------------------------------------------
 
-void encodeArcs(util::ByteWriter& w, std::span<const RingArc> arcs) {
-  w.u32(static_cast<std::uint32_t>(arcs.size()));
-  for (const RingArc& arc : arcs) {
+namespace {
+
+/// Reads an element count, rejecting one that the bytes left could not hold
+/// at `minBytes` per element — a hostile count fails here, not in reserve().
+std::uint32_t readCount(util::ByteReader& r, std::size_t minBytes) {
+  const std::uint32_t count = r.u32();
+  if (count * std::uint64_t{minBytes} > r.remaining()) {
+    throw util::ParseError("migrate: count " + std::to_string(count) + " overruns the frame");
+  }
+  return count;
+}
+
+void writeObjects(util::ByteWriter& w, std::span<const util::MobileObjectId> objects) {
+  w.u32(static_cast<std::uint32_t>(objects.size()));
+  for (const auto& object : objects) w.str(object.str());
+}
+
+std::vector<util::MobileObjectId> readObjects(util::ByteReader& r) {
+  std::vector<util::MobileObjectId> objects(readCount(r, 4));  // a string is >= its length
+  for (auto& object : objects) object = util::MobileObjectId{r.str()};
+  return objects;
+}
+
+/// Decodes the whole of `bytes` with `decode`; trailing bytes are a ParseError.
+template <typename Decode>
+auto decodeAll(const util::Bytes& bytes, Decode decode) {
+  util::ByteReader r(bytes);
+  auto value = decode(r);
+  if (!r.exhausted()) throw util::ParseError("migrate: trailing bytes");
+  return value;
+}
+
+bool verdict(const util::Bytes& reply) {
+  return decodeAll(reply, [](util::ByteReader& r) { return r.boolean(); });
+}
+
+util::Bytes sessionIdBytes(std::uint64_t id) {
+  util::ByteWriter w;
+  w.u64(id);
+  return w.take();
+}
+
+}  // namespace
+
+util::Bytes encodeMigrateBegin(const MigrateBegin& request) {
+  util::ByteWriter w;
+  w.str(request.gainerToken);
+  w.str(request.gainer.host);
+  w.u16(request.gainer.port);
+  w.str(request.gainer.shmName);
+  w.u32(static_cast<std::uint32_t>(request.arcs.size()));
+  for (const RingArc& arc : request.arcs) {
     w.u64(arc.lo);
     w.u64(arc.hi);
   }
+  writeObjects(w, request.objects);
+  w.u32(static_cast<std::uint32_t>(request.rects.size()));
+  for (const geo::Rect& rect : request.rects) core::encodeRect(w, rect);
+  return w.take();
 }
 
-std::vector<RingArc> decodeArcs(util::ByteReader& r) {
-  std::vector<RingArc> arcs;
-  const std::uint32_t count = r.u32();
-  arcs.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    RingArc arc;
-    arc.lo = r.u64();
-    arc.hi = r.u64();
-    arcs.push_back(arc);
+MigrateBegin decodeMigrateBegin(const util::Bytes& bytes) {
+  MigrateBegin request = decodeAll(bytes, [](util::ByteReader& r) {
+    MigrateBegin out;
+    out.gainerToken = r.str();
+    out.gainer.host = r.str();
+    out.gainer.port = r.u16();
+    out.gainer.shmName = r.str();
+    out.arcs.resize(readCount(r, 16));
+    for (RingArc& arc : out.arcs) arc = RingArc{r.u64(), r.u64()};
+    out.objects = readObjects(r);
+    out.rects.resize(readCount(r, 1));  // the empty rect is one flag byte
+    for (geo::Rect& rect : out.rects) rect = core::decodeRect(r);
+    return out;
+  });
+  if (!request.arcs.empty() && (!request.objects.empty() || !request.rects.empty())) {
+    throw util::ParseError("migrate.begin: covers both arcs and objects");
   }
-  return arcs;
+  return request;
+}
+
+util::Bytes encodeMigrateSession(const MigrateSession& session) {
+  util::ByteWriter w;
+  w.u64(session.id);
+  writeObjects(w, session.objects);
+  return w.take();
+}
+
+std::vector<util::MobileObjectId> decodeObjects(const util::Bytes& bytes) {
+  return decodeAll(bytes, readObjects);
+}
+
+std::uint64_t decodeSessionId(const util::Bytes& bytes) {
+  return decodeAll(bytes, [](util::ByteReader& r) { return r.u64(); });
+}
+
+MigrateSession migrateBegin(orb::RpcClient& loser, const MigrateBegin& request) {
+  return decodeAll(loser.call("migrate.begin", encodeMigrateBegin(request)),
+                   [](util::ByteReader& r) {
+                     MigrateSession session;
+                     session.id = r.u64();
+                     session.objects = readObjects(r);
+                     return session;
+                   });
+}
+
+void migrateAdopt(orb::RpcClient& gainer, std::span<const util::MobileObjectId> objects) {
+  util::ByteWriter w;
+  writeObjects(w, objects);
+  static_cast<void>(verdict(gainer.call("migrate.adopt", w.take())));
+}
+
+bool migrateFlush(orb::RpcClient& loser, std::uint64_t id) {
+  return verdict(loser.call("migrate.flush", sessionIdBytes(id)));
+}
+
+bool migrateEnd(orb::RpcClient& loser, std::uint64_t id) {
+  return verdict(loser.call("migrate.end", sessionIdBytes(id)));
 }
 
 }  // namespace mw::cluster

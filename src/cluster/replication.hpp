@@ -1,5 +1,5 @@
-// Shard replication and arc handoff — the two data-movement protocols of
-// the cluster (ROADMAP: "Shard replication and online resharding").
+// Shard replication and migration — the two data-movement protocols of the
+// cluster.
 //
 // ReplicationLink is the primary's handle to its warm-standby backup. The
 // primary's ingest tap calls mirror() BEFORE the local apply, inside the
@@ -10,14 +10,19 @@
 // consistent cut, every earlier reading is in it and every later reading
 // flows through the live mirror — no sequence numbers needed.
 //
-// HandoffSession is the LOSING owner's side of a ring join. Its filter()
-// sits in the same ingest tap and consumes readings whose objects fall in
-// the arcs being handed off: buffered while the joiner replays the exported
-// logs, then (after flush()) forwarded synchronously. Per-object order at
-// the joiner is export, then buffered FIFO, then forwarded FIFO over one
-// connection — exact, because the buffer drain and the mode switch happen
-// under one session lock, and the session is installed under pauseIngest()
-// so no reading is ever half-applied on the losing side.
+// HandoffSession is the LOSING owner's side of one migration: a ring join
+// or planned drain (arc coverage) or a territory migration (object-set
+// coverage), all driven through the one id-keyed migrate.* protocol below.
+// Its filter() sits in the same ingest tap and consumes the readings of the
+// objects it covers: buffered while the gainer replays the exported logs,
+// then (after flush()) forwarded synchronously. Per-object order at the
+// gainer is export, then buffered FIFO, then forwarded FIFO — exact,
+// because the buffer drain and the mode switch happen under one session
+// lock, each session serializes its forwards, and the session is installed
+// under pauseIngest() so no reading is ever half-applied on the losing
+// side. ShardHost owns the sessions: it keys them by id, shares one peer
+// connection per gainer among them, and retires each into a tombstone a
+// bounded straggler window after migrate.end (shard_host.hpp).
 //
 // Failure policy (both): a dead peer marks the link/session failed, counts
 // and warns, and the local service keeps serving — availability over
@@ -31,11 +36,13 @@
 #include <shared_mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <vector>
 
 #include "cluster/shard_map.hpp"
 #include "core/remote.hpp"
+#include "core/remote_registry.hpp"
 #include "spatialdb/database.hpp"
 #include "util/bytes.hpp"
 
@@ -90,25 +97,21 @@ class ReplicationLink {
   std::atomic<std::uint64_t> failures_{0};
 };
 
-/// Losing-owner side of one handoff. Coverage comes in two flavors: ring
-/// ARCS (a join's claimed key ranges — any object hashing into them, present
-/// or future) or an explicit OBJECT SET (a territory migration's residents —
-/// exactly the objects whose logs are being exported). Both run the same
-/// buffer-then-forward protocol.
+/// Losing-owner side of one migrate.* session. Coverage is either ring
+/// ARCS (a join's or drain's key ranges — any object hashing into them,
+/// present or future) or an explicit OBJECT SET (a territory migration's
+/// residents — exactly the objects whose logs are being exported). Both run
+/// the same buffer-then-forward protocol.
 class HandoffSession {
  public:
-  /// Arc coverage (ring join). `client` must be connected to the gaining
-  /// shard's service endpoint.
-  HandoffSession(std::string joinerToken, std::vector<RingArc> arcs,
-                 std::shared_ptr<core::RemoteLocationClient> client);
+  /// Arc coverage when `arcs` is non-empty, else object-set coverage
+  /// (ShardHost installs no session that covers nothing). `gainer` must be
+  /// connected to the gaining shard's service endpoint; `gainerToken` names
+  /// the gainer in logs and in the tombstone the session retires into.
+  HandoffSession(std::string gainerToken, std::vector<RingArc> arcs,
+                 std::vector<util::MobileObjectId> objects,
+                 std::shared_ptr<core::RemoteLocationClient> gainer);
 
-  /// Object-set coverage (territory migration). The set may be empty — the
-  /// session then consumes nothing but still anchors the protocol.
-  HandoffSession(std::string joinerToken, std::vector<util::MobileObjectId> objects,
-                 std::shared_ptr<core::RemoteLocationClient> client);
-
-  [[nodiscard]] const std::string& joinerToken() const noexcept { return joinerToken_; }
-  [[nodiscard]] const std::vector<RingArc>& arcs() const noexcept { return arcs_; }
   /// Does this session cover the object (arc containment or set membership,
   /// minus any removed objects)?
   [[nodiscard]] bool covers(const util::MobileObjectId& object) const;
@@ -116,59 +119,94 @@ class HandoffSession {
   /// Excludes objects from this session's coverage from now on — a later
   /// migration taking an object away from the gaining side must stop this
   /// session from eating the object's readings. Call only while ingest is
-  /// paused (no filter() in flight).
-  void removeObjects(std::span<const util::MobileObjectId> objects);
+  /// paused (no filter() in flight). Returns true when this emptied an
+  /// object set that was not empty: the session then moves nothing more.
+  bool removeObjects(std::span<const util::MobileObjectId> objects);
 
   /// Tap fragment: removes and consumes the readings this session covers
   /// (buffered before flush(), forwarded after), returns the rest.
   [[nodiscard]] std::vector<db::SensorReading> filter(std::vector<db::SensorReading> batch);
 
-  /// Drains the buffer to the joiner and switches to live forwarding —
+  /// Drains the buffer to the gainer and switches to live forwarding —
   /// atomically, under the session lock, so no reading can slip between
-  /// the drained buffer and the forward stream. Returns false (session
-  /// failed) when the joiner connection died; buffered readings are kept
-  /// for a retry.
+  /// the drained buffer and the forward stream. Returns false when the
+  /// gainer connection died; buffered readings are kept for a retry.
   bool flush();
 
   [[nodiscard]] bool forwarding() const noexcept {
     return forwarding_.load(std::memory_order_acquire);
   }
-  [[nodiscard]] std::uint64_t bufferedReadings() const noexcept {
-    return bufferedReadings_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t forwardedReadings() const noexcept {
-    return forwardedReadings_.load(std::memory_order_relaxed);
-  }
-  /// Forward attempts that failed; those readings are lost to the joiner
-  /// (counted, logged — the router's retry against the new owner is the
-  /// recovery path).
-  [[nodiscard]] std::uint64_t failures() const noexcept {
-    return failures_.load(std::memory_order_relaxed);
-  }
+
+  [[nodiscard]] const std::string& gainerToken() const noexcept { return gainerToken_; }
+  [[nodiscard]] const std::vector<RingArc>& arcs() const noexcept { return arcs_; }
+  /// The object set still covered (empty in arc mode).
+  [[nodiscard]] std::vector<util::MobileObjectId> objects() const;
 
  private:
-  const std::string joinerToken_;
+  const std::string gainerToken_;
   const std::vector<RingArc> arcs_;
-  /// Object-set coverage (empty in arc mode). Guarded by coverMutex_: reads
-  /// are per-reading on the ingest path (shared), removeObjects is rare and
-  /// runs under an ingest pause (exclusive).
+  /// Object-set coverage (empty in arc mode) and the objects removed from
+  /// arc coverage. Guarded by coverMutex_: reads are per-reading on the
+  /// ingest path (shared), removeObjects is rare and runs under an ingest
+  /// pause (exclusive).
   mutable std::shared_mutex coverMutex_;
   std::unordered_set<util::MobileObjectId> objects_;
   std::unordered_set<util::MobileObjectId> removed_;
-  const std::shared_ptr<core::RemoteLocationClient> client_;
+  const std::shared_ptr<core::RemoteLocationClient> gainer_;
   /// Guards buffer_ + the buffering->forwarding switch, and serializes
-  /// forwards so the joiner sees them in consume order.
+  /// forwards so the gainer sees them in consume order.
   std::mutex mutex_;
   std::vector<db::SensorReading> buffer_;
   std::atomic<bool> forwarding_{false};
-  std::atomic<std::uint64_t> bufferedReadings_{0};
-  std::atomic<std::uint64_t> forwardedReadings_{0};
-  std::atomic<std::uint64_t> failures_{0};
 };
 
-// --- wire helpers for the handoff.* methods -----------------------------------
+// --- the migrate.* wire protocol ----------------------------------------------
+//
+//   migrate.begin(MigrateBegin)       -> (session id, objects)  losing shard
+//   migrate.adopt(objects)            -> true                   gaining shard
+//   migrate.flush(session id)         -> ok                     losing shard
+//   migrate.end(session id)           -> ok                     losing shard
+//
+// A router-driven migration calls adopt twice: before the flush (the gainer
+// prunes stale sessions of the objects) and between flush and end (the
+// gainer recounts its density rules for them, before the loser drops them).
+// A ring drain calls it once, between flush and end; a ring join recounts
+// on the joiner directly.
 
-void encodeArcs(util::ByteWriter& w, std::span<const RingArc> arcs);
-[[nodiscard]] std::vector<RingArc> decodeArcs(util::ByteReader& r);
+/// Text of the error a shard replies to an ingest for an object that a
+/// retired migration session moved away: the sender routed by a stale map
+/// and should refresh it and route again (ClusterLocationService does).
+inline constexpr std::string_view kMovedError = "migrate: moved";
+
+/// migrate.begin's request: where to forward, and what the session covers —
+/// ring arcs, or an object set plus the rects whose resident objects the
+/// loser adds to it.
+struct MigrateBegin {
+  std::string gainerToken;
+  core::Endpoint gainer;
+  std::vector<RingArc> arcs;
+  std::vector<util::MobileObjectId> objects;
+  std::vector<geo::Rect> rects;
+};
+/// migrate.begin's reply: the session id and every object the session moves.
+struct MigrateSession {
+  std::uint64_t id = 0;
+  std::vector<util::MobileObjectId> objects;
+};
+
+// Codec. Decoders throw util::ParseError on truncation, on a count larger
+// than the bytes left could hold, and on trailing bytes.
+[[nodiscard]] util::Bytes encodeMigrateBegin(const MigrateBegin& request);
+[[nodiscard]] MigrateBegin decodeMigrateBegin(const util::Bytes& bytes);
+[[nodiscard]] util::Bytes encodeMigrateSession(const MigrateSession& session);
+[[nodiscard]] std::vector<util::MobileObjectId> decodeObjects(const util::Bytes& bytes);
+[[nodiscard]] std::uint64_t decodeSessionId(const util::Bytes& bytes);
+
+// Client side, for the shard or router driving a migration. Each throws what
+// the call throws; flush and end return the losing shard's verdict.
+[[nodiscard]] MigrateSession migrateBegin(orb::RpcClient& loser, const MigrateBegin& request);
+void migrateAdopt(orb::RpcClient& gainer, std::span<const util::MobileObjectId> objects);
+[[nodiscard]] bool migrateFlush(orb::RpcClient& loser, std::uint64_t id);
+[[nodiscard]] bool migrateEnd(orb::RpcClient& loser, std::uint64_t id);
 
 }  // namespace mw::cluster

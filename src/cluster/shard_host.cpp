@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -21,6 +22,14 @@ namespace {
 /// Peer-to-peer calls (replication mirror, handoff forward, log export)
 /// block an ingest ack; a wedged peer must not wedge the caller forever.
 constexpr auto kPeerCallTimeout = util::sec(5);
+
+/// The announced endpoint of ring member `token` (nullopt when it expired
+/// between list and lookup).
+std::optional<core::Endpoint> endpointOf(const RingMemberMap& members, const std::string& token) {
+  const auto slot = std::lower_bound(members.tokens.begin(), members.tokens.end(), token);
+  if (slot == members.tokens.end() || *slot != token) return std::nullopt;
+  return members.endpoints[static_cast<std::size_t>(slot - members.tokens.begin())];
+}
 
 }  // namespace
 
@@ -72,7 +81,7 @@ void ShardHost::start() {
     }
   }
   installTap();
-  registerHandoffMethods();
+  registerMethods();
   if (!options_.deferAnnounce) {
     announceOnce();
     announced_.store(true, std::memory_order_release);
@@ -112,7 +121,12 @@ void ShardHost::stop() {
     link_.reset();
     linkedBackup_.reset();
     sessions_.clear();
-    territorySessions_.clear();
+    moved_ = std::make_shared<const Tombstones>();
+    publishTapLocked();
+  }
+  {
+    std::lock_guard lock(peersMutex_);
+    peers_.clear();
   }
   shmListener_.reset();
   shmName_.clear();
@@ -149,6 +163,7 @@ void ShardHost::heartbeatLoop() {
   while (!stopCv_.wait_for(lock, std::chrono::milliseconds(options_.heartbeatPeriod.count()),
                            [&] { return stopping_; })) {
     lock.unlock();
+    retireSessions();
     try {
       if (announced_.load(std::memory_order_acquire)) {
         announceOnce();
@@ -184,28 +199,46 @@ std::shared_ptr<ReplicationLink> ShardHost::replicationLink() const {
   return link_;
 }
 
-std::vector<std::shared_ptr<HandoffSession>> ShardHost::handoffSnapshot() const {
+std::size_t ShardHost::migrationSessions() const {
   std::lock_guard lock(mutex_);
-  return sessions_;
+  return sessions_.size();
+}
+
+std::size_t ShardHost::tombstones() const {
+  std::lock_guard lock(mutex_);
+  return moved_->objects.size() + moved_->arcs.size();
+}
+
+void ShardHost::publishTapLocked() {
+  auto state = std::make_shared<TapState>();
+  for (const auto& [id, session] : sessions_) state->sessions.push_back(session.handoff);
+  state->moved = moved_;
+  state->link = link_;
+  std::lock_guard tapLock(tapMutex_);
+  tapState_ = std::move(state);
 }
 
 void ShardHost::installTap() {
   core_->locationService().setIngestTap(
       [this](std::span<const db::SensorReading> batch) -> std::vector<db::SensorReading> {
         std::vector<db::SensorReading> kept(batch.begin(), batch.end());
-        // Handoff first: readings in an arc being handed off belong to the
-        // joiner — they must be neither applied here nor mirrored to the
-        // backup (the joiner's own replication covers them from now on).
-        for (const auto& session : handoffSnapshot()) {
+        std::shared_ptr<const TapState> state;
+        {
+          std::lock_guard lock(tapMutex_);
+          state = tapState_;
+        }
+        if (!state) return kept;
+        // Refusal before anything is consumed, so the sender may resend the
+        // whole batch elsewhere without duplicating a forwarded reading.
+        refuseMoved(*state->moved, kept);
+        // Migration first: readings of objects being moved belong to the
+        // gainer — they must be neither applied here nor mirrored to the
+        // backup (the gainer's own replication covers them from now on).
+        for (const auto& session : state->sessions) {
           if (kept.empty()) break;
           kept = session->filter(std::move(kept));
         }
-        std::shared_ptr<ReplicationLink> link;
-        {
-          std::lock_guard lock(mutex_);
-          link = link_;
-        }
-        if (link) link->mirror(kept);
+        if (state->link) state->link->mirror(kept);
         return kept;
       });
 }
@@ -253,6 +286,7 @@ void ShardHost::maintainReplication() {
     if (link_ && link_->dead()) {
       link_.reset();
       linkedBackup_.reset();
+      publishTapLocked();
     }
   }
   std::optional<core::RegistryClient::ResolvedEntry> entry;
@@ -269,6 +303,7 @@ void ShardHost::maintainReplication() {
                     " disappeared from the registry; dropping replication link");
       link_.reset();
       linkedBackup_.reset();
+      publishTapLocked();
     }
     return;
   }
@@ -281,7 +316,7 @@ void ShardHost::maintainReplication() {
   }
   std::shared_ptr<core::RemoteLocationClient> client;
   try {
-    client = connectPeer(entry->endpoint);
+    client = peerFor(entry->endpoint);
   } catch (const util::TransportError&) {
     util::logWarn("ShardHost", primaryName_, ": backup ", backupName,
                   " announced but unreachable; will retry next heartbeat");
@@ -297,6 +332,7 @@ void ShardHost::maintainReplication() {
     std::lock_guard lock(mutex_);
     link_ = fresh;
     linkedBackup_ = entry->endpoint;
+    publishTapLocked();
   }
   util::logInfo("ShardHost", primaryName_, ": replicating to ", backupName, " (",
                 fresh->syncedReadings(), " readings synced)");
@@ -349,8 +385,13 @@ void ShardHost::monitorPrimary() {
                 " expired; promoted to primary at generation ", claimGeneration);
 }
 
-std::shared_ptr<core::RemoteLocationClient> ShardHost::connectPeer(
-    const core::Endpoint& endpoint, std::shared_ptr<orb::RpcClient>* rawOut) {
+std::shared_ptr<core::RemoteLocationClient> ShardHost::peerFor(const core::Endpoint& endpoint) {
+  const std::string key =
+      endpoint.host + ":" + std::to_string(endpoint.port) + "/" + endpoint.shmName;
+  std::lock_guard lock(peersMutex_);
+  std::erase_if(peers_, [](const auto& entry) { return entry.second.expired(); });
+  auto& slot = peers_[key];
+  if (auto peer = slot.lock(); peer && peer->rpc()->isOpen()) return peer;
   std::shared_ptr<orb::Transport> transport;
   if (!endpoint.shmName.empty()) {
     try {
@@ -363,211 +404,195 @@ std::shared_ptr<core::RemoteLocationClient> ShardHost::connectPeer(
   if (!transport) transport = orb::tcpConnect(endpoint.host, endpoint.port);
   auto rpc = std::make_shared<orb::RpcClient>(std::move(transport));
   rpc->setCallTimeout(kPeerCallTimeout);
-  if (rawOut) *rawOut = rpc;
-  return std::make_shared<core::RemoteLocationClient>(std::move(rpc));
+  auto peer = std::make_shared<core::RemoteLocationClient>(std::move(rpc));
+  slot = peer;
+  return peer;
 }
 
-// --- handoff: losing-owner side ----------------------------------------------
+// --- migrate.*: losing side ---------------------------------------------------
 
-void ShardHost::registerHandoffMethods() {
-  auto& server = core_->rpcServer();
-
-  // handoff.begin(joinerToken, joinerEndpoint, arcs) -> affected objects.
+MigrateSession ShardHost::beginSession(const MigrateBegin& request) {
+  retireSessions();
+  auto gainer = peerFor(request.gainer);
+  MigrateSession out;
+  auto& db = core_->database();
   // Installed under pauseIngest so the split is exact: every reading acked
-  // before this instant is in the local store (the joiner will export it),
-  // every later one hits the session's filter.
-  server.registerMethod("handoff.begin", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    std::string joinerToken = r.str();
-    core::Endpoint joiner;
-    joiner.host = r.str();
-    joiner.port = r.u16();
-    joiner.shmName = r.str();
-    std::vector<RingArc> arcs = decodeArcs(r);
-    auto session = std::make_shared<HandoffSession>(std::move(joinerToken), std::move(arcs),
-                                                    connectPeer(joiner));
-    std::vector<util::MobileObjectId> affected;
-    {
-      auto pause = core_->locationService().pauseIngest();
-      {
-        std::lock_guard lock(mutex_);
-        sessions_.push_back(session);
-      }
-      for (const auto& object : core_->database().knownMobileObjects()) {
-        if (session->covers(object)) affected.push_back(object);
+  // before this instant is in the local store (the driver exports it), every
+  // later one hits the session's filter.
+  auto pause = core_->locationService().pauseIngest();
+  // An object set also takes every local resident whose evidence box
+  // centers in a migrated rect (belt and braces for objects the router
+  // never homed); arcs take every resident hashing into them.
+  out.objects = request.objects;
+  if (!request.rects.empty()) {
+    const std::unordered_set<util::MobileObjectId> listed(out.objects.begin(), out.objects.end());
+    for (const auto& object : db.knownMobileObjects()) {
+      const auto box = db.evidenceBoxOf(object);
+      if (!box || listed.contains(object)) continue;
+      if (std::any_of(request.rects.begin(), request.rects.end(),
+                      [&](const geo::Rect& rect) { return rect.contains(box->center()); })) {
+        out.objects.push_back(object);
       }
     }
-    util::ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(affected.size()));
-    for (const auto& object : affected) w.str(object.str());
-    return w.take();
-  });
+  }
+  // Nothing to cover: id 0, nothing installed (flush and end accept it).
+  if (request.arcs.empty() && out.objects.empty()) return out;
+  auto session = std::make_shared<HandoffSession>(request.gainerToken, request.arcs,
+                                                  out.objects, std::move(gainer));
+  if (!request.arcs.empty()) {
+    for (const auto& object : db.knownMobileObjects()) {
+      if (session->covers(object)) out.objects.push_back(object);
+    }
+  }
+  std::lock_guard lock(mutex_);
+  // Older sessions are pruned of the moving objects first, so an object
+  // migrating BACK to a shard it once left is not eaten by the stale
+  // forwarding session of that earlier migration.
+  pruneLocked(out.objects);
+  out.id = nextSession_++;
+  sessions_.emplace(out.id, Session{std::move(session), std::nullopt});
+  publishTapLocked();
+  return out;
+}
 
-  // handoff.flush(joinerToken) -> ok. Drains the buffered arc readings to
-  // the joiner and switches the session to live forwarding.
-  server.registerMethod("handoff.flush", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::string joinerToken = r.str();
-    bool ok = false;
-    for (const auto& session : handoffSnapshot()) {
-      if (session->joinerToken() == joinerToken) ok = session->flush();
+void ShardHost::adoptObjects(std::span<const util::MobileObjectId> objects) {
+  {
+    auto pause = core_->locationService().pauseIngest();
+    std::lock_guard lock(mutex_);
+    pruneLocked(objects);
+    publishTapLocked();
+  }
+  core_->locationService().recountDensity(objects);
+}
+
+void ShardHost::pruneLocked(std::span<const util::MobileObjectId> objects) {
+  // A session whose object set empties moves nothing more: it is what a
+  // failed migration left behind.
+  std::erase_if(sessions_,
+                [&](const auto& entry) { return entry.second.handoff->removeObjects(objects); });
+  if (std::none_of(objects.begin(), objects.end(),
+                   [&](const auto& object) { return moved_->objects.contains(object); })) {
+    return;
+  }
+  auto moved = std::make_shared<Tombstones>(*moved_);
+  for (const auto& object : objects) moved->objects.erase(object);
+  moved_ = std::move(moved);
+}
+
+std::optional<ShardHost::Session> ShardHost::findSession(std::uint64_t id) const {
+  std::lock_guard lock(mutex_);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) return std::nullopt;
+  return it->second;
+}
+
+bool ShardHost::flushSession(std::uint64_t id) {
+  if (id == 0) return true;
+  auto session = findSession(id);
+  return session && session->handoff->flush();
+}
+
+bool ShardHost::endSession(std::uint64_t id) {
+  if (id == 0) return true;
+  auto session = findSession(id);
+  if (!session || !session->handoff->forwarding()) return false;  // unknown, or end before flush
+  std::vector<util::MobileObjectId> moved;
+  for (const auto& object : core_->database().knownMobileObjects()) {
+    if (session->handoff->covers(object)) moved.push_back(object);
+  }
+  core_->locationService().dropObjects(moved);
+  // The session stays installed and forwarding for the straggler window, so
+  // a reading from a router that has not flipped yet is proxied, not lost.
+  std::lock_guard lock(mutex_);
+  if (auto it = sessions_.find(id); it != sessions_.end() && !it->second.retireAt) {
+    it->second.retireAt = std::chrono::steady_clock::now() + kStragglerWindow;
+  }
+  return true;
+}
+
+void ShardHost::retireSessions() {
+  const auto now = std::chrono::steady_clock::now();
+  std::lock_guard lock(mutex_);
+  std::shared_ptr<Tombstones> moved;
+  for (auto it = sessions_.begin(); it != sessions_.end();) {
+    if (!it->second.retireAt || *it->second.retireAt > now) {
+      ++it;
+      continue;
     }
+    if (!moved) moved = std::make_shared<Tombstones>(*moved_);
+    const HandoffSession& handoff = *it->second.handoff;
+    for (const RingArc& arc : handoff.arcs()) moved->arcs.emplace_back(arc, handoff.gainerToken());
+    for (auto& object : handoff.objects()) moved->objects[object] = handoff.gainerToken();
+    it = sessions_.erase(it);
+  }
+  if (!moved) return;
+  moved_ = std::move(moved);
+  publishTapLocked();
+}
+
+void ShardHost::refuseMoved(const Tombstones& moved, std::span<const db::SensorReading> batch) {
+  if (moved.objects.empty() && moved.arcs.empty()) return;
+  std::vector<std::string> departed;  // ring gainers found gone during this batch
+  for (const auto& reading : batch) {
+    const std::string* gainer = nullptr;
+    if (auto it = moved.objects.find(reading.mobileObjectId); it != moved.objects.end()) {
+      gainer = &it->second;
+    } else if (!moved.arcs.empty()) {
+      const std::uint64_t key = objectRingKey(reading.mobileObjectId);
+      for (const auto& [arc, token] : moved.arcs) {
+        if (!arc.contains(key) ||
+            std::find(departed.begin(), departed.end(), token) != departed.end()) {
+          continue;
+        }
+        bool member = true;  // a blind registry refuses rather than misplaces
+        try {
+          member = registry_.lookupEntry(ringMemberName(token)).has_value();
+        } catch (const util::TransportError&) {
+        }
+        if (member) {
+          gainer = &token;
+          break;
+        }
+        // The gainer left the ring (drained or expired), so its arcs belong
+        // to their inheritors — this host among them.
+        departed.push_back(token);
+        std::lock_guard lock(mutex_);
+        auto next = std::make_shared<Tombstones>(*moved_);
+        std::erase_if(next->arcs, [&](const auto& entry) { return entry.second == token; });
+        moved_ = std::move(next);
+        publishTapLocked();
+      }
+    }
+    if (gainer != nullptr) {
+      throw util::MwError(std::string(kMovedError) + ": " + reading.mobileObjectId.str() +
+                          " moved to " + *gainer);
+    }
+  }
+}
+
+void ShardHost::registerMethods() {
+  auto& server = core_->rpcServer();
+  const auto verdict = [](bool ok) {
     util::ByteWriter w;
     w.boolean(ok);
     return w.take();
+  };
+  server.registerMethod("migrate.begin", [this](const util::Bytes& args) {
+    return encodeMigrateSession(beginSession(decodeMigrateBegin(args)));
   });
-
-  // handoff.end(joinerToken) -> ok. Drops the moved objects' local state;
-  // the session stays installed and forwarding, so a straggler reading from
-  // a router still closing its dual-read window is proxied, not lost.
-  server.registerMethod("handoff.end", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::string joinerToken = r.str();
-    std::shared_ptr<HandoffSession> session;
-    for (const auto& candidate : handoffSnapshot()) {
-      if (candidate->joinerToken() == joinerToken) session = candidate;
-    }
-    util::ByteWriter w;
-    if (!session || !session->forwarding()) {
-      w.boolean(false);  // unknown session, or end before flush
-      return w.take();
-    }
-    for (const auto& object : core_->database().knownMobileObjects()) {
-      if (session->covers(object)) core_->database().dropMobileObject(object);
-    }
-    w.boolean(true);
-    return w.take();
+  // Gaining side: this shard is becoming the objects' home (again), so any
+  // session or tombstone a PAST migration left here must stop consuming or
+  // refusing their readings (else a reading routed here would bounce to the
+  // old gainer and chase its own tail), and its density rules count them.
+  server.registerMethod("migrate.adopt", [this, verdict](const util::Bytes& args) {
+    adoptObjects(decodeObjects(args));
+    return verdict(true);
   });
-
-  // --- territory migration (spatial partitioning, territory_map.hpp) ----------
-  // Same buffer-then-forward protocol as handoff.*, but coverage is an
-  // explicit OBJECT SET and sessions are keyed by a fresh id, not the peer
-  // token — one shard pair can run many migrations over its lifetime and a
-  // token key would alias them.
-
-  // territory.migrateBegin(gainerToken, gainerEndpoint, objects, rects)
-  //   -> (sessionId, affected objects).
-  // The moving set is the union of the router's explicit list (its homed
-  // residents) and every local resident whose evidence box centers in a
-  // migrated rect (belt and braces for objects the router never homed).
-  // Installed under pauseIngest; existing sessions are pruned of the moving
-  // objects first, so an object migrating BACK to a shard it once left is
-  // not eaten by the stale forwarding session of that earlier migration.
-  server.registerMethod("territory.migrateBegin", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    std::string gainerToken = r.str();
-    core::Endpoint gainer;
-    gainer.host = r.str();
-    gainer.port = r.u16();
-    gainer.shmName = r.str();
-    std::vector<util::MobileObjectId> affected;
-    const std::uint32_t objectCount = r.u32();
-    affected.reserve(objectCount);
-    for (std::uint32_t i = 0; i < objectCount; ++i) {
-      affected.emplace_back(util::MobileObjectId{r.str()});
-    }
-    std::vector<geo::Rect> rects;
-    const std::uint32_t rectCount = r.u32();
-    rects.reserve(rectCount);
-    for (std::uint32_t i = 0; i < rectCount; ++i) {
-      const double lx = r.f64();
-      const double ly = r.f64();
-      const double hx = r.f64();
-      const double hy = r.f64();
-      rects.push_back(geo::Rect::fromCorners({lx, ly}, {hx, hy}));
-    }
-    auto client = connectPeer(gainer);
-    std::uint64_t sessionId = 0;
-    {
-      auto pause = core_->locationService().pauseIngest();
-      std::unordered_set<util::MobileObjectId> moving(affected.begin(), affected.end());
-      if (!rects.empty()) {
-        for (const auto& object : core_->database().knownMobileObjects()) {
-          if (moving.contains(object)) continue;
-          const auto box = core_->database().evidenceBoxOf(object);
-          if (!box) continue;
-          const geo::Point2 center = box->center();
-          if (std::any_of(rects.begin(), rects.end(),
-                          [&](const geo::Rect& rect) { return rect.contains(center); })) {
-            affected.push_back(object);
-            moving.insert(object);
-          }
-        }
-      }
-      auto session = std::make_shared<HandoffSession>(std::move(gainerToken), affected,
-                                                      std::move(client));
-      std::lock_guard lock(mutex_);
-      for (const auto& existing : sessions_) existing->removeObjects(affected);
-      sessionId = nextTerritorySession_++;
-      territorySessions_[sessionId] = session;
-      sessions_.push_back(std::move(session));
-    }
-    util::ByteWriter w;
-    w.u64(sessionId);
-    w.u32(static_cast<std::uint32_t>(affected.size()));
-    for (const auto& object : affected) w.str(object.str());
-    return w.take();
+  server.registerMethod("migrate.flush", [this, verdict](const util::Bytes& args) {
+    return verdict(flushSession(decodeSessionId(args)));
   });
-
-  // territory.adopt(objects) -> ok. Gaining-side prune: this shard is about
-  // to become the objects' home again, so any forwarding session a PAST
-  // migration left here must stop consuming their readings (else a reading
-  // routed here would bounce to the old gainer and chase its own tail).
-  server.registerMethod("territory.adopt", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    std::vector<util::MobileObjectId> objects;
-    const std::uint32_t count = r.u32();
-    objects.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      objects.emplace_back(util::MobileObjectId{r.str()});
-    }
-    {
-      auto pause = core_->locationService().pauseIngest();
-      for (const auto& session : handoffSnapshot()) session->removeObjects(objects);
-    }
-    util::ByteWriter w;
-    w.boolean(true);
-    return w.take();
-  });
-
-  // territory.flush(sessionId) -> ok. Buffer drain + switch to forwarding.
-  server.registerMethod("territory.flush", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::uint64_t sessionId = r.u64();
-    std::shared_ptr<HandoffSession> session;
-    {
-      std::lock_guard lock(mutex_);
-      if (auto it = territorySessions_.find(sessionId); it != territorySessions_.end()) {
-        session = it->second;
-      }
-    }
-    util::ByteWriter w;
-    w.boolean(session != nullptr && session->flush());
-    return w.take();
-  });
-
-  // territory.end(sessionId) -> ok. Drops the moved objects' local state;
-  // the session keeps forwarding stragglers like handoff.end.
-  server.registerMethod("territory.end", [this](const util::Bytes& args) -> util::Bytes {
-    util::ByteReader r(args);
-    const std::uint64_t sessionId = r.u64();
-    std::shared_ptr<HandoffSession> session;
-    {
-      std::lock_guard lock(mutex_);
-      if (auto it = territorySessions_.find(sessionId); it != territorySessions_.end()) {
-        session = it->second;
-      }
-    }
-    util::ByteWriter w;
-    if (!session || !session->forwarding()) {
-      w.boolean(false);  // unknown session, or end before flush
-      return w.take();
-    }
-    for (const auto& object : core_->database().knownMobileObjects()) {
-      if (session->covers(object)) core_->database().dropMobileObject(object);
-    }
-    w.boolean(true);
-    return w.take();
+  server.registerMethod("migrate.end", [this, verdict](const util::Bytes& args) {
+    return verdict(endSession(decodeSessionId(args)));
   });
 
   // territory.stats() -> cumulative load counters (see LoadStats) — what the
@@ -583,7 +608,7 @@ void ShardHost::registerHandoffMethods() {
   });
 }
 
-// --- handoff: joining side ----------------------------------------------------
+// --- migrate.*: driving side --------------------------------------------------
 
 void ShardHost::joinRing() {
   mw::util::require(running_, "ShardHost::joinRing: start() first");
@@ -595,41 +620,36 @@ void ShardHost::joinRing() {
   std::vector<std::string> afterTokens = members.tokens;
   afterTokens.push_back(options_.ringToken);
   HashRing after(std::move(afterTokens));
-  // Group this member's claimed arcs by the owner losing them: one handoff
-  // session (one connection, one FIFO) per loser.
+  // Group this member's claimed arcs by the owner losing them: one session
+  // (one FIFO) per loser.
   std::map<std::string, std::vector<RingArc>> byLoser;
   for (auto& claim : HashRing::claimsFor(before, after, options_.ringToken)) {
     if (claim.loser.empty()) continue;  // genesis: nothing to move
     byLoser[claim.loser].push_back(claim.arc);
   }
   pendingJoin_.clear();
+  {
+    // A member rejoining takes arcs back: tombstones of its earlier
+    // departure would refuse the losers' forwards.
+    std::lock_guard lock(mutex_);
+    moved_ = std::make_shared<const Tombstones>(Tombstones{moved_->objects, {}});
+    publishTapLocked();
+  }
   for (auto& [loser, arcs] : byLoser) {
-    const auto slot =
-        std::lower_bound(members.tokens.begin(), members.tokens.end(), loser);
-    const std::size_t index = static_cast<std::size_t>(slot - members.tokens.begin());
-    if (slot == members.tokens.end() || *slot != loser || !members.endpoints[index]) {
+    const auto endpoint = endpointOf(members, loser);
+    if (!endpoint) {
       // Expired between list and lookup: its readings are already lost to
       // the cluster; claim the arcs without a transfer.
       util::logWarn("ShardHost", name_, ": losing owner ", loser,
                     " unresolvable; joining its arcs without handoff");
       continue;
     }
-    PendingHandoff pending;
+    PendingJoin pending;
     pending.loserToken = loser;
-    pending.typed = connectPeer(*members.endpoints[index], &pending.rpc);
-    util::ByteWriter w;
-    w.str(options_.ringToken);
-    w.str("127.0.0.1");
-    w.u16(port_);
-    w.str(shmName_);
-    encodeArcs(w, arcs);
-    util::Bytes reply = pending.rpc->call("handoff.begin", w.take());
-    util::ByteReader r(reply);
-    const std::uint32_t count = r.u32();
-    pending.objects.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      pending.objects.emplace_back(util::MobileObjectId{r.str()});
-    }
+    pending.loser = peerFor(*endpoint);
+    pending.session =
+        migrateBegin(*pending.loser->rpc(),
+                     MigrateBegin{options_.ringToken, selfEndpoint(), std::move(arcs), {}, {}});
     pendingJoin_.push_back(std::move(pending));
   }
   // Every loser is now capturing the claimed arcs; announcing makes fresh
@@ -638,7 +658,7 @@ void ShardHost::joinRing() {
   announceOnce();
   announced_.store(true, std::memory_order_release);
   util::logInfo("ShardHost", name_, ": joined the ring (", pendingJoin_.size(),
-                " handoff session(s) open)");
+                " migration session(s) open)");
 }
 
 void ShardHost::completeJoin() {
@@ -651,25 +671,20 @@ void ShardHost::completeJoin() {
     // total order the loser would have applied. Imported, not ingested: the
     // readings already fired their triggers where they were first observed,
     // so the replay must not fire them again here.
-    for (const auto& object : pending.objects) {
-      std::vector<db::SensorReading> log = pending.typed->exportReadings(object);
+    for (const auto& object : pending.session.objects) {
+      std::vector<db::SensorReading> log = pending.loser->exportReadings(object);
       if (!log.empty()) service.importBatch(log);
     }
-    util::ByteWriter flushArgs;
-    flushArgs.str(options_.ringToken);
-    const util::Bytes flushBytes = pending.rpc->call("handoff.flush", flushArgs.take());
-    util::ByteReader flushReply(flushBytes);
-    if (!flushReply.boolean()) {
-      util::logWarn("ShardHost", name_, ": handoff flush on ", pending.loserToken,
+    orb::RpcClient& loser = *pending.loser->rpc();
+    if (!migrateFlush(loser, pending.session.id)) {
+      util::logWarn("ShardHost", name_, ": migrate flush on ", pending.loserToken,
                     " failed; leaving its session buffering for a retry");
       continue;
     }
-    util::ByteWriter endArgs;
-    endArgs.str(options_.ringToken);
-    const util::Bytes endBytes = pending.rpc->call("handoff.end", endArgs.take());
-    util::ByteReader endReply(endBytes);
-    if (!endReply.boolean()) {
-      util::logWarn("ShardHost", name_, ": handoff end on ", pending.loserToken, " rejected");
+    // The gainer recounts before the loser drops (see migrate.adopt).
+    service.recountDensity(pending.session.objects);
+    if (!migrateEnd(loser, pending.session.id)) {
+      util::logWarn("ShardHost", name_, ": migrate end on ", pending.loserToken, " rejected");
     }
   }
   pendingJoin_.clear();
@@ -696,41 +711,24 @@ void ShardHost::leaveRing() {
   for (const RingArc& arc : before.arcsOf(options_.ringToken)) {
     byGainer[after.ownerForKey(arc.hi)].push_back(arc);
   }
+  // From each begin on, the gainer's arcs' readings are consumed by its
+  // session (buffered, later forwarded) — the local store is a frozen cut
+  // of those objects for the export below.
   struct Drain {
-    std::string gainer;
-    std::shared_ptr<core::RemoteLocationClient> typed;
-    std::shared_ptr<HandoffSession> session;
-    std::vector<util::MobileObjectId> objects;
+    MigrateBegin request;
+    MigrateSession session;
   };
   std::vector<Drain> drains;
   for (auto& [gainer, arcs] : byGainer) {
-    const auto slot = std::lower_bound(members.tokens.begin(), members.tokens.end(), gainer);
-    const std::size_t index = static_cast<std::size_t>(slot - members.tokens.begin());
-    if (slot == members.tokens.end() || *slot != gainer || !members.endpoints[index]) {
+    const auto endpoint = endpointOf(members, gainer);
+    if (!endpoint) {
       util::logWarn("ShardHost", name_, ": arc inheritor ", gainer,
                     " unresolvable; leaving its arcs without handoff");
       continue;
     }
-    Drain drain;
-    drain.gainer = gainer;
-    drain.typed = connectPeer(*members.endpoints[index]);
-    drain.session = std::make_shared<HandoffSession>(gainer, std::move(arcs), drain.typed);
+    Drain drain{MigrateBegin{gainer, *endpoint, std::move(arcs), {}, {}}, {}};
+    drain.session = beginSession(drain.request);
     drains.push_back(std::move(drain));
-  }
-  {
-    // From this pause on, the leaving arcs' readings are consumed by the
-    // sessions (buffered, later forwarded) — the local store is a frozen cut
-    // for the export below.
-    auto pause = core_->locationService().pauseIngest();
-    {
-      std::lock_guard lock(mutex_);
-      for (const auto& drain : drains) sessions_.push_back(drain.session);
-    }
-    for (auto& drain : drains) {
-      for (const auto& object : core_->database().knownMobileObjects()) {
-        if (drain.session->covers(object)) drain.objects.push_back(object);
-      }
-    }
   }
   // Leave the ring: stop re-announcing, withdraw the entry. Routers that
   // refresh now recompute ownership and open their dual-read window; readings
@@ -742,26 +740,34 @@ void ShardHost::leaveRing() {
     // Registry gone; the TTL expires the entry on its own.
   }
   std::size_t moved = 0;
-  for (auto& drain : drains) {
+  for (const auto& drain : drains) {
+    const std::string& gainer = drain.request.gainerToken;
+    std::shared_ptr<core::RemoteLocationClient> client;
     try {
       // Imported, not ingested: the readings fired their triggers here when
       // first observed; the inheritor must store them without re-firing.
-      for (const auto& object : drain.objects) {
+      client = peerFor(drain.request.gainer);
+      for (const auto& object : drain.session.objects) {
         std::vector<db::SensorReading> log = core_->database().exportObjectLog(object);
-        if (!log.empty()) drain.typed->importBatch(log);
+        if (!log.empty()) client->importBatch(log);
       }
     } catch (const util::MwError&) {
-      util::logWarn("ShardHost", name_, ": export to ", drain.gainer,
+      util::logWarn("ShardHost", name_, ": export to ", gainer,
                     " failed; its arcs stay buffered for a retry");
       continue;
     }
-    if (!drain.session->flush()) {
-      util::logWarn("ShardHost", name_, ": drain flush to ", drain.gainer,
-                    " failed; keeping its buffer");
+    if (!flushSession(drain.session.id)) {
+      util::logWarn("ShardHost", name_, ": drain flush to ", gainer, " failed; keeping its buffer");
       continue;
     }
-    for (const auto& object : drain.objects) core_->database().dropMobileObject(object);
-    moved += drain.objects.size();
+    try {
+      migrateAdopt(*client->rpc(), drain.session.objects);  // the gainer recounts first
+    } catch (const util::MwError&) {
+      util::logWarn("ShardHost", name_, ": migrate.adopt on ", gainer,
+                    " failed; its density rules count the drained objects at their next reading");
+    }
+    static_cast<void>(endSession(drain.session.id));
+    moved += drain.session.objects.size();
   }
   util::logInfo("ShardHost", name_, ": left the ring (", moved, " object(s) drained into ",
                 drains.size(), " inheritor(s)); still forwarding stragglers");

@@ -24,23 +24,37 @@
 // primary's next heartbeat is rejected by the fence — it demotes (stops
 // claiming) instead of flapping ownership back.
 //
-// Ring membership: a host with a ringToken and deferAnnounce can join a
-// live ring — joinRing() opens handoff sessions on the owners losing arcs
-// to it (their taps start buffering those arcs' readings) and only then
-// announces; completeJoin() streams the affected objects' logs across,
-// flushes the buffers and drops the moved objects from the losers. See
-// replication.hpp for the exactness argument.
+// Migration: every move of objects between shards — a ring join
+// (joinRing/completeJoin), a planned drain (leaveRing) and a router's
+// territory migration — runs one id-keyed protocol, migrate.{begin,adopt,
+// flush,end} (replication.hpp). begin installs a session on the losing
+// host, whose tap then buffers the covered objects' readings; the driver
+// copies the logs across, flush drains the buffer into live forwarding, the
+// driver has the gainer recount the moved objects (migrate.adopt), and end
+// drops them here through LocationService::dropObjects. A session keeps forwarding
+// stragglers for kStragglerWindow after end; then the heartbeat tick (or
+// the next begin on a host without one) retires it into a tombstone, which
+// keeps only its coverage and gainer token. An ingest for a tombstoned
+// object is refused with kMovedError, never stored here: the sender routed
+// by a stale map. A ring tombstone lapses once its gainer has left the ring;
+// an object tombstone once the object is adopted back. All sessions to one
+// gainer share one peer connection, so threads and descriptors grow with
+// the number of peers, not of migrations.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/replication.hpp"
@@ -53,6 +67,15 @@ namespace mw::cluster {
 
 /// Registry-name suffix a backup announces under: "<primaryName>.backup".
 inline constexpr const char* kBackupSuffix = ".backup";
+
+/// How long an ended migration session keeps forwarding stragglers before
+/// it is retired. A straggler is an ingest a router sent to the old owner
+/// before its flip; under the default RetryPolicy it is retried for at most
+/// 3 attempts x 2 s callDeadline plus 10 + 20 ms of backoff, about 6 s, so 8 s
+/// outlasts every retry with margin. Later ingests by a stale map (a ring
+/// router that has not refreshed since the change) meet the tombstone and
+/// are refused, not stored.
+inline constexpr std::chrono::seconds kStragglerWindow{8};
 
 class ShardHost {
  public:
@@ -74,7 +97,7 @@ class ShardHost {
     /// "location.ring.<token>" instead of "location.shard.<i>/<N>".
     std::string ringToken;
     /// Spatial-partitioning member token; when set the shard announces as
-    /// "location.space.<token>" and serves the territory.* handoff methods
+    /// "location.space.<token>" and its objects move by territory
     /// (territory_map.hpp). Mutually exclusive with ringToken.
     std::string spaceToken;
     /// Primary serves and (when a backup announces) replicates; Backup
@@ -145,6 +168,10 @@ class ShardHost {
 
   /// The live replication link to this primary's backup (null when none).
   [[nodiscard]] std::shared_ptr<ReplicationLink> replicationLink() const;
+  /// Migration sessions installed here and not yet retired.
+  [[nodiscard]] std::size_t migrationSessions() const;
+  /// Entries (objects plus ring arcs) retired sessions left refusing ingest.
+  [[nodiscard]] std::size_t tombstones() const;
   /// Backup->primary promotions this host performed.
   [[nodiscard]] std::uint64_t promotions() const noexcept {
     return promotions_.load(std::memory_order_relaxed);
@@ -173,8 +200,8 @@ class ShardHost {
   // --- ring membership --------------------------------------------------------
 
   /// Ring mode, after start() with deferAnnounce: computes the arcs this
-  /// shard's token claims from the currently announced members, opens a
-  /// handoff session on every losing owner (their taps buffer those arcs'
+  /// shard's token claims from the currently announced members, begins a
+  /// migration session on every losing owner (their taps buffer those arcs'
   /// readings from this moment), then announces this shard and starts the
   /// heartbeat. Routers that refresh now see the new ring and should keep a
   /// dual-read window open until completeJoin() has run.
@@ -186,7 +213,7 @@ class ShardHost {
 
   /// Planned drain — the inverse of joinRing(), losers of nothing and one
   /// exporter: computes who inherits each of this member's arcs once it is
-  /// gone, installs a handoff session per gainer (the tap starts consuming
+  /// gone, begins a local migration session per gainer (the tap starts consuming
   /// those arcs' readings), withdraws the registry entry (routers recompute
   /// the ring and open their dual-read window; this host keeps serving),
   /// exports every covered object's log into its gainer (importBatch — no
@@ -197,6 +224,25 @@ class ShardHost {
   void leaveRing();
 
  private:
+  /// One migration session on the losing side; `retireAt` is set by end.
+  struct Session {
+    std::shared_ptr<HandoffSession> handoff;
+    std::optional<std::chrono::steady_clock::time_point> retireAt;
+  };
+  /// What retired sessions moved away, by gainer token: the tap refuses
+  /// ingest for it.
+  struct Tombstones {
+    std::unordered_map<util::MobileObjectId, std::string> objects;
+    std::vector<std::pair<RingArc, std::string>> arcs;
+  };
+  /// What the ingest tap reads, published whole whenever sessions,
+  /// tombstones or the replication link change.
+  struct TapState {
+    std::vector<std::shared_ptr<HandoffSession>> sessions;
+    std::shared_ptr<const Tombstones> moved;
+    std::shared_ptr<ReplicationLink> link;
+  };
+
   void heartbeatLoop();
   /// One announce of `announceName_`; returns false when fenced off.
   bool announceOnce();
@@ -208,12 +254,30 @@ class ShardHost {
   /// Backup tick: watch the primary entry; promote when it expires.
   void monitorPrimary();
   void installTap();
-  void registerHandoffMethods();
-  /// shm-first (TCP fallback) connection to a peer endpoint.
-  [[nodiscard]] std::shared_ptr<core::RemoteLocationClient> connectPeer(
-      const core::Endpoint& endpoint, std::shared_ptr<orb::RpcClient>* rawOut = nullptr);
+  void registerMethods();
+  /// migrate.begin/adopt/flush/end, served over the wire and called by
+  /// leaveRing. Session id 0 is the session a begin that covers nothing
+  /// returns without installing one; flush and end accept it.
+  MigrateSession beginSession(const MigrateBegin& request);
+  void adoptObjects(std::span<const util::MobileObjectId> objects);
+  [[nodiscard]] std::optional<Session> findSession(std::uint64_t id) const;
+  bool flushSession(std::uint64_t id);
+  bool endSession(std::uint64_t id);
+  /// Turns ended sessions whose straggler window has passed into tombstones.
+  void retireSessions();
+  /// Removes the objects from every session's coverage (erasing a session
+  /// this empties) and from the tombstones. mutex_ held, ingest paused.
+  void pruneLocked(std::span<const util::MobileObjectId> objects);
+  /// Throws kMovedError for the first reading of `batch` a tombstone
+  /// covers, unless the tombstone is a ring arc whose gainer has left the
+  /// ring — that tombstone is dropped instead.
+  void refuseMoved(const Tombstones& moved, std::span<const db::SensorReading> batch);
+  void publishTapLocked();
+  /// The shared shm-first (TCP fallback) connection to a peer: cached per
+  /// endpoint while any holder keeps it, re-dialed once it has closed.
+  [[nodiscard]] std::shared_ptr<core::RemoteLocationClient> peerFor(
+      const core::Endpoint& endpoint);
   [[nodiscard]] core::Endpoint selfEndpoint() const;
-  [[nodiscard]] std::vector<std::shared_ptr<HandoffSession>> handoffSnapshot() const;
 
   std::unique_ptr<core::Middlewhere> core_;
   core::RegistryClient registry_;
@@ -247,29 +311,33 @@ class ShardHost {
   std::string announceName_;
   std::optional<core::Endpoint> linkedBackup_;
 
-  /// Published replication link (swap under mutex_, the tap pins the
-  /// shared_ptr for the call).
+  /// Replication link and migration sessions by id (ids are never reused);
+  /// under mutex_, and republished to tapState_ on every change.
   std::shared_ptr<ReplicationLink> link_;
-  /// Open handoff sessions (losing-owner side); under mutex_, the tap
-  /// copies the (tiny) vector out per call.
-  std::vector<std::shared_ptr<HandoffSession>> sessions_;
-  /// Territory-migration sessions also indexed by their wire id (they live
-  /// in sessions_ too for the tap); under mutex_. Ids are never reused — a
-  /// shard pair can run many migrations and a token key would alias them.
-  std::unordered_map<std::uint64_t, std::shared_ptr<HandoffSession>> territorySessions_;
-  std::uint64_t nextTerritorySession_ = 1;
+  std::map<std::uint64_t, Session> sessions_;
+  std::uint64_t nextSession_ = 1;
+  /// Copied on write, so a published TapState never sees it change.
+  std::shared_ptr<const Tombstones> moved_ = std::make_shared<const Tombstones>();
+  /// The tap's snapshot, pinned under its own mutex (never held across a
+  /// call) — the idiom LocationService uses for the tap itself.
+  mutable std::mutex tapMutex_;
+  std::shared_ptr<const TapState> tapState_;
   /// Set once the shard is announced (immediately, or by joinRing when
   /// deferAnnounce); the heartbeat only re-announces after that.
   std::atomic<bool> announced_{false};
 
-  /// Pending join state between joinRing() and completeJoin().
-  struct PendingHandoff {
+  /// Pending join state between joinRing() and completeJoin(): one begun
+  /// session per losing owner.
+  struct PendingJoin {
     std::string loserToken;
-    std::shared_ptr<orb::RpcClient> rpc;           ///< for handoff.* calls
-    std::shared_ptr<core::RemoteLocationClient> typed;  ///< for exportReadings
-    std::vector<util::MobileObjectId> objects;
+    std::shared_ptr<core::RemoteLocationClient> loser;
+    MigrateSession session;
   };
-  std::vector<PendingHandoff> pendingJoin_;
+  std::vector<PendingJoin> pendingJoin_;
+
+  /// Peer connections by endpoint; a weak entry lapses with its last holder.
+  std::mutex peersMutex_;
+  std::map<std::string, std::weak_ptr<core::RemoteLocationClient>> peers_;
 
   mutable std::mutex mutex_;
   std::condition_variable stopCv_;

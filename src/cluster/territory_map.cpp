@@ -4,6 +4,7 @@
 #include <string_view>
 #include <utility>
 
+#include "core/codec.hpp"
 #include "util/error.hpp"
 
 namespace mw::cluster {
@@ -13,24 +14,6 @@ using util::Bytes;
 using util::ByteWriter;
 
 namespace {
-
-void encodeRect(ByteWriter& w, const geo::Rect& r) {
-  w.f64(r.lo().x);
-  w.f64(r.lo().y);
-  w.f64(r.hi().x);
-  w.f64(r.hi().y);
-}
-
-geo::Rect decodeRect(ByteReader& r) {
-  const double lox = r.f64();
-  const double loy = r.f64();
-  const double hix = r.f64();
-  const double hiy = r.f64();
-  // fromCorners normalizes, which would turn the empty sentinel into a real
-  // rect; decode empty back to the canonical empty instead.
-  if (lox > hix || loy > hiy) return geo::Rect();
-  return geo::Rect::fromCorners({lox, loy}, {hix, hiy});
-}
 
 /// Recursively halves `rect` into `count` equal-area leaves, assigning the
 /// sorted members [first, first+count) in order. Splits along the long axis,
@@ -226,11 +209,11 @@ util::Bytes TerritoryMap::encode() const {
   ByteWriter w;
   w.u64(version_);
   w.u32(nextId_);
-  encodeRect(w, universe_);
+  core::encodeRect(w, universe_);
   w.u32(static_cast<std::uint32_t>(leaves_.size()));
   for (const auto& leaf : leaves_) {
     w.u32(leaf.id);
-    encodeRect(w, leaf.rect);
+    core::encodeRect(w, leaf.rect);
     w.str(leaf.owner);
   }
   return w.take();
@@ -241,13 +224,13 @@ TerritoryMap TerritoryMap::decode(const util::Bytes& bytes) {
   TerritoryMap map;
   map.version_ = r.u64();
   map.nextId_ = r.u32();
-  map.universe_ = decodeRect(r);
+  map.universe_ = core::decodeRect(r);
   const std::uint32_t n = r.u32();
   map.leaves_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     TerritoryLeaf leaf;
     leaf.id = r.u32();
-    leaf.rect = decodeRect(r);
+    leaf.rect = core::decodeRect(r);
     leaf.owner = r.str();
     map.leaves_.push_back(std::move(leaf));
   }

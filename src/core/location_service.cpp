@@ -59,76 +59,84 @@ void LocationService::ingestOne(const db::SensorReading& reading) {
   // a reading that no longer intersects a region must still drive that
   // region's falling edge). Cost is O(matched), never O(subscriptions).
   std::vector<cq::ProductionId> toEvaluate;
-  struct DensityEval {
-    cq::ProductionId id;
-    geo::Rect region;
-    double minProbability;
-  };
-  std::vector<DensityEval> densityEvals;
+  std::vector<DensityRecount> densityRules;
   bool anyPlain = false;
   {
     std::lock_guard lock(subsMutex_);
     subNet_.match(stored.rect(), object.str(), toEvaluate);
-    for (cq::ProductionId subId : toEvaluate) {
-      auto dit = densitySubs_.find(SubscriptionId{subId});
-      if (dit != densitySubs_.end()) {
-        densityEvals.push_back(
-            DensityEval{subId, dit->second.spec.region, dit->second.spec.minProbability});
-      } else {
-        anyPlain = true;
-      }
-    }
+    anyPlain = collectDensityRulesLocked(toEvaluate, densityRules) < toEvaluate.size();
   }
-  if (toEvaluate.empty()) return;
-
-  // One fusion serves every subscription this reading touched (the insert
-  // bumped the epoch, so this recomputes exactly once).
-  std::shared_ptr<const fusion::FusedState> fused;
-  if (anyPlain) fused = fusedStateFor(object);
-  // Density rules poll their region population (the L2 cache makes this
-  // O(changed members)) with no service lock held — same lock discipline as
-  // the fusion above; the network sync below reconciles under subsMutex_.
-  std::vector<std::vector<std::string>> densityMembers;
-  densityMembers.reserve(densityEvals.size());
-  for (const DensityEval& d : densityEvals) {
-    auto population = objectsInRegion(d.region, d.minProbability);
-    std::vector<std::string> names;
-    names.reserve(population.size());
-    for (const auto& [member, probability] : population) names.push_back(member.str());
-    densityMembers.push_back(std::move(names));
-  }
-  std::vector<PendingNotification> notifications;
-  std::vector<PendingDensityNotification> densityNotifications;
-  {
-    std::lock_guard lock(subsMutex_);
-    // match() returns sorted ids, so evaluation (and notification) order is
-    // deterministic for a given reading.
-    std::size_t di = 0;
-    for (cq::ProductionId subId : toEvaluate) {
-      if (di < densityEvals.size() && densityEvals[di].id == subId) {
-        const cq::CountUpdate update = subNet_.syncInside(subId, densityMembers[di]);
-        ++di;
-        if (!update.changed && update.edge == cq::CountEdge::None) continue;
-        auto dit = densitySubs_.find(SubscriptionId{subId});
-        if (dit == densitySubs_.end()) continue;  // unsubscribed in the meantime
-        DensityNotification n;
-        n.id = SubscriptionId{subId};
-        n.region = dit->second.spec.region;
-        n.count = update.count;
-        n.limit = dit->second.spec.limit;
-        n.edge = update.edge;
-        n.object = object;
-        n.when = clock_.now();
-        densityNotifications.push_back(
-            PendingDensityNotification{dit->second.spec.callback, std::move(n)});
-      } else {
+  if (anyPlain) {
+    // One fusion serves every subscription this reading touched (the insert
+    // bumped the epoch, so this recomputes exactly once).
+    const std::shared_ptr<const fusion::FusedState> fused = fusedStateFor(object);
+    std::vector<PendingNotification> notifications;
+    {
+      std::lock_guard lock(subsMutex_);
+      // match() returns sorted ids, so evaluation (and notification) order
+      // is deterministic for a given reading. Density ids are not in subs_
+      // and are skipped here.
+      for (cq::ProductionId subId : toEvaluate) {
         evaluateSubscriptionLocked(SubscriptionId{subId}, object, *fused, notifications);
       }
     }
+    // Callbacks run with no locks held, so they may (un)subscribe or query.
+    for (auto& pending : notifications) pending.callback(pending.notification);
   }
-  // Callbacks run with no locks held, so they may (un)subscribe or query.
+  recountDensityRules(densityRules, object);
+}
+
+std::size_t LocationService::collectDensityRulesLocked(const std::vector<cq::ProductionId>& ids,
+                                                       std::vector<DensityRecount>& out) const {
+  std::size_t found = 0;
+  for (cq::ProductionId subId : ids) {
+    auto dit = densitySubs_.find(SubscriptionId{subId});
+    if (dit == densitySubs_.end()) continue;
+    ++found;
+    if (std::none_of(out.begin(), out.end(),
+                     [&](const DensityRecount& d) { return d.id == subId; })) {
+      out.push_back(
+          DensityRecount{subId, dit->second.spec.region, dit->second.spec.minProbability});
+    }
+  }
+  return found;
+}
+
+void LocationService::recountDensityRules(const std::vector<DensityRecount>& rules,
+                                          const MobileObjectId& object) {
+  if (rules.empty()) return;
+  // Density rules poll their region population (the L2 cache makes this
+  // O(changed members)) with no service lock held — same lock discipline as
+  // fusion; the network sync below reconciles under subsMutex_.
+  std::vector<std::vector<std::string>> members;
+  members.reserve(rules.size());
+  for (const DensityRecount& rule : rules) {
+    auto population = objectsInRegion(rule.region, rule.minProbability);
+    std::vector<std::string> names;
+    names.reserve(population.size());
+    for (const auto& [member, probability] : population) names.push_back(member.str());
+    members.push_back(std::move(names));
+  }
+  std::vector<PendingDensityNotification> notifications;
+  {
+    std::lock_guard lock(subsMutex_);
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      const cq::CountUpdate update = subNet_.syncInside(rules[i].id, members[i]);
+      if (!update.changed && update.edge == cq::CountEdge::None) continue;
+      auto dit = densitySubs_.find(SubscriptionId{rules[i].id});
+      if (dit == densitySubs_.end()) continue;  // unsubscribed in the meantime
+      DensityNotification n;
+      n.id = SubscriptionId{rules[i].id};
+      n.region = dit->second.spec.region;
+      n.count = update.count;
+      n.limit = dit->second.spec.limit;
+      n.edge = update.edge;
+      n.object = object;
+      n.when = clock_.now();
+      notifications.push_back(PendingDensityNotification{dit->second.spec.callback, std::move(n)});
+    }
+  }
   for (auto& pending : notifications) pending.callback(pending.notification);
-  for (auto& pending : densityNotifications) pending.callback(pending.notification);
 }
 
 void LocationService::ingestBatch(std::span<const db::SensorReading> readings) {
@@ -194,6 +202,41 @@ void LocationService::importBatch(std::span<const db::SensorReading> readings) {
   std::shared_lock gate(ingestGate_);
   for (const auto& reading : readings) db_.importReading(reading);
   importedReadings_.fetch_add(readings.size(), std::memory_order_relaxed);
+}
+
+void LocationService::dropObjects(std::span<const MobileObjectId> objects) {
+  if (objects.empty()) return;
+  // Same gate as ingest: a drop never interleaves with a pauseIngest() cut.
+  std::shared_lock gate(ingestGate_);
+  for (const auto& object : objects) {
+    if (!db_.dropMobileObject(object)) continue;
+    // An object that migrates back restarts its per-object epoch, so a
+    // stale entry could pass for fresh.
+    std::unique_lock lock(cacheMutex_);
+    fusionCache_.erase(object);
+  }
+  recountDensityLocked(objects);
+}
+
+void LocationService::recountDensity(std::span<const MobileObjectId> objects) {
+  if (objects.empty()) return;
+  std::shared_lock gate(ingestGate_);
+  recountDensityLocked(objects);
+}
+
+void LocationService::recountDensityLocked(std::span<const MobileObjectId> objects) {
+  std::vector<DensityRecount> densityRules;
+  std::vector<cq::ProductionId> matched;
+  for (const auto& object : objects) {
+    // A dropped object has no box, and the empty rect matches no region:
+    // only the rules tracking it as inside come back.
+    const geo::Rect box = db_.evidenceBoxOf(object).value_or(geo::Rect{});
+    std::lock_guard lock(subsMutex_);
+    subNet_.match(box, object.str(), matched);
+    collectDensityRulesLocked(matched, densityRules);
+  }
+  // One recount per rule, however many of the objects it touches.
+  recountDensityRules(densityRules, objects.front());
 }
 
 void LocationService::setIngestShards(std::size_t n) {

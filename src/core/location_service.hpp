@@ -120,7 +120,20 @@ class LocationService {
   /// tap AND the subscription/trigger machinery — an imported reading
   /// already fired its notifications on the shard that first ingested it.
   /// Shares the ingest gate, so a pauseIngest() window excludes imports too.
+  /// A migration recounts the density rules once it is over
+  /// (recountDensity()).
   void importBatch(std::span<const db::SensorReading> readings);
+
+  /// Removes the objects' readings (they now live on another shard) and
+  /// recounts every density rule that held one of them as inside, so each
+  /// rule's count — and the notification it delivers — matches the region
+  /// population again. The one path for dropping migrated objects.
+  void dropObjects(std::span<const util::MobileObjectId> objects);
+
+  /// Recounts, once each, the density rules the objects touch (evidence box
+  /// meets the region, or the rule holds the object as inside) — what a
+  /// shard that imported migrated objects runs once the move is over.
+  void recountDensity(std::span<const util::MobileObjectId> objects);
 
   /// Pre-apply interceptor for every ingest()/ingestBatch() call: the tap
   /// sees the readings BEFORE they touch the database and returns the subset
@@ -515,9 +528,26 @@ class LocationService {
     DensityNotification notification;
   };
 
+  /// One density rule to recount: its id and the population query it polls.
+  struct DensityRecount {
+    cq::ProductionId id;
+    geo::Rect region;
+    double minProbability = 0;
+  };
+
   /// Stores one reading and evaluates the subscriptions it touched — the
   /// unit of work shared by sequential ingest and every batch shard.
   void ingestOne(const db::SensorReading& reading);
+  /// Appends to `out` the density rules among `ids` not already in it
+  /// (subsMutex_ held); returns how many of `ids` are density rules.
+  std::size_t collectDensityRulesLocked(const std::vector<cq::ProductionId>& ids,
+                                        std::vector<DensityRecount>& out) const;
+  /// recountDensity() with the ingest gate held.
+  void recountDensityLocked(std::span<const util::MobileObjectId> objects);
+  /// Re-polls each rule's population, syncs its counting node and delivers
+  /// a notification naming `object` for every count change or limit edge.
+  void recountDensityRules(const std::vector<DensityRecount>& rules,
+                           const util::MobileObjectId& object);
   /// Evaluates one subscription against a fused state (subsMutex_ held);
   /// appends the callback to `out` instead of invoking it.
   void evaluateSubscriptionLocked(util::SubscriptionId id, const util::MobileObjectId& object,

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,6 +29,8 @@
 #include "core/codec.hpp"
 #include "core/middlewhere.hpp"
 #include "core/remote_registry.hpp"
+#include "orb/rpc.hpp"
+#include "orb/tcp.hpp"
 #include "util/error.hpp"
 
 namespace mw::cluster {
@@ -708,6 +712,210 @@ TEST_F(ClusterSpatialTest, BalancerDaemonSplitsInTheBackgroundAndStopsCleanly) {
   std::vector<std::string> all;
   for (int i = 0; i < 24; ++i) all.push_back("hot-" + std::to_string(i));
   expectOracleEquivalence(all, "post-daemon-rebalance");
+}
+
+// --- migrated objects leave nothing behind ---------------------------------------
+
+/// Entries in a /proc/self directory (open descriptors, live threads).
+std::size_t procEntries(const char* dir) {
+  return static_cast<std::size_t>(std::distance(std::filesystem::directory_iterator(dir),
+                                                std::filesystem::directory_iterator()));
+}
+
+TEST_F(ClusterSpatialTest, DensityTotalMatchesPopulationAfterABorderWalk) {
+  startClusters({"a", "b"});
+  const TerritoryMap map = router_->territorySnapshot();
+  const double y = universe().center().y;
+  const std::string& westOwner = map.ownerForPoint({universe().lo().x, y});
+  double border = universe().lo().x;
+  while (map.ownerForPoint({border, y}) == westOwner) border += 1;
+  ASSERT_LT(border, universe().hi().x);
+
+  // A rule over a region straddling the border; one object walks across it:
+  // one reading west, one just across (applied at the old home, then
+  // migrated), one more east (counted by the new home).
+  const geo::Rect region = geo::Rect::centeredSquare({border, y}, 10);
+  std::mutex mutex;
+  std::size_t lastTotal = 0;
+  router_->subscribeDensity(region, 0.5, 5, [&](const core::DensityNotification& n) {
+    std::lock_guard lock(mutex);
+    lastTotal = n.count;
+  });
+  for (double x : {border - 5, border + 5, border + 7}) {
+    clock_.advance(util::msec(100));
+    router_->ingest(makeReading(clock_.now(), {x, y}, "walker"));
+  }
+  EXPECT_GE(router_->stats().objectMigrations, 1u);
+  const std::size_t population = router_->objectsInRegion(region, 0.5).size();
+  ASSERT_EQ(population, 1u);
+
+  // Deliveries are asynchronous: wait for the total to settle, then make
+  // sure no late delivery moves it off the population.
+  const auto settled = [&] {
+    std::lock_guard lock(mutex);
+    return lastTotal == population;
+  };
+  for (int i = 0; i < 400 && !settled(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::lock_guard lock(mutex);
+  EXPECT_EQ(lastTotal, population)
+      << "the losing shard must recount its density rule when it drops a migrated object";
+}
+
+TEST_F(ClusterSpatialTest, ThousandMigrationsKeepSessionsFdsAndThreadsFlat) {
+  startClusters({"a", "b"});
+  const TerritoryMap map = router_->territorySnapshot();
+  const geo::Point2 west{universe().lo().x + 5, universe().center().y};
+  const geo::Point2 east{universe().hi().x - 5, universe().center().y};
+  ASSERT_NE(map.ownerForPoint(west), map.ownerForPoint(east));
+
+  // Two objects shuttle across the border; after each one's first reading,
+  // every reading is a boundary crossing and migrates it.
+  constexpr int kMigrations = 1000;
+  const std::vector<std::string> shuttles{"shuttle-0", "shuttle-1"};
+  for (const auto& name : shuttles) router_->ingest(makeReading(clock_.now(), west, name));
+  // Slack for descriptors and threads that come and go outside the
+  // migrations (reactor wake-ups, lazily started pools): a constant, where
+  // one connection per migration would add two threads each time.
+  constexpr std::size_t kSlack = 24;
+  const std::size_t fdsAtStart = procEntries("/proc/self/fd");
+  const std::size_t threadsAtStart = procEntries("/proc/self/task");
+  for (int i = 0; i < kMigrations; ++i) {
+    clock_.advance(util::msec(10));
+    const geo::Point2 where = (i / 2) % 2 == 0 ? east : west;
+    router_->ingest(makeReading(clock_.now(), where, shuttles[static_cast<std::size_t>(i % 2)]));
+    if (i % 10 == 9) {
+      // Fatal, so a leak stops the run before it piles up.
+      ASSERT_LE(procEntries("/proc/self/fd"), fdsAtStart + kSlack) << "after " << i + 1;
+      ASSERT_LE(procEntries("/proc/self/task"), threadsAtStart + kSlack) << "after " << i + 1;
+    }
+  }
+  EXPECT_GE(router_->stats().objectMigrations, static_cast<std::uint64_t>(kMigrations));
+  EXPECT_EQ(router_->stats().droppedIngestReadings, 0u);
+  for (const auto& name : shuttles) {
+    EXPECT_EQ(residentTokens(name).size(), 1u) << name << " lives on exactly one shard";
+  }
+
+  // One straggler window after the last migration, the heartbeat has
+  // retired every session.
+  const auto deadline =
+      std::chrono::steady_clock::now() + kStragglerWindow + std::chrono::seconds(2);
+  const auto liveSessions = [&] {
+    std::size_t live = 0;
+    for (const auto& [token, host] : spaceHosts_) live += host->migrationSessions();
+    return live;
+  };
+  while (liveSessions() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_EQ(liveSessions(), 0u);
+  // Each shuttle's return adopts it back, clearing the tombstone it left.
+  std::size_t tombstones = 0;
+  for (const auto& [token, host] : spaceHosts_) tombstones += host->tombstones();
+  EXPECT_LE(tombstones, shuttles.size());
+  EXPECT_LE(procEntries("/proc/self/fd"), fdsAtStart + kSlack);
+  EXPECT_LE(procEntries("/proc/self/task"), threadsAtStart + kSlack);
+}
+
+TEST_F(ClusterSpatialTest, AbandonedMigrationsLeaveAtMostOneSessionPerObject) {
+  startClusters({"a", "b"});
+  ShardHost& a = *spaceHosts_.at("a");
+  const ShardHost& b = *spaceHosts_.at("b");
+  const TerritoryMap map = router_->territorySnapshot();
+  geo::Point2 home = universe().center();
+  for (double x = universe().lo().x + 1; map.ownerForPoint(home) != "a"; x += 1) {
+    home = {x, universe().center().y};
+  }
+  router_->ingest(makeReading(clock_.now(), home, "stuck"));
+  ASSERT_EQ(residentTokens("stuck"), std::vector<std::string>{"a"});
+  orb::RpcClient loser(orb::tcpConnect("127.0.0.1", a.port()));
+  const std::vector<MobileObjectId> stuck{MobileObjectId{"stuck"}};
+
+  // An unreachable gainer fails the begin before anything is installed.
+  EXPECT_THROW(static_cast<void>(migrateBegin(
+                   loser, MigrateBegin{"nowhere", {"127.0.0.1", 1, ""}, {}, stuck, {}})),
+               util::MwError);
+  EXPECT_EQ(a.migrationSessions(), 0u);
+
+  // A driver that fails after every begin and retries: each begin prunes
+  // the session the previous attempt abandoned.
+  const core::Endpoint gainer{"127.0.0.1", b.port(), b.shmName()};
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(migrateBegin(loser, MigrateBegin{"b", gainer, {}, stuck, {}}).objects, stuck);
+  }
+  EXPECT_EQ(a.migrationSessions(), 1u);
+  // A begin that covers nothing installs nothing; its id 0 flushes and ends.
+  const MigrateSession empty = migrateBegin(loser, MigrateBegin{"b", gainer, {}, {}, {}});
+  EXPECT_EQ(empty.id, 0u);
+  EXPECT_TRUE(migrateFlush(loser, empty.id));
+  EXPECT_TRUE(migrateEnd(loser, empty.id));
+  EXPECT_EQ(a.migrationSessions(), 1u);
+}
+
+TEST_F(ClusterSpatialTest, RebalanceUnderADensityRuleAtItsLimitFiresNoEdge) {
+  startClusters({"a", "b"});
+  const TerritoryMap before = router_->territorySnapshot();
+  const TerritoryLeaf hotLeaf = before.leavesOf("a").front();
+  const geo::Rect movedRect = before.splitLeaf(hotLeaf.id, "b").leaves().back().rect;
+  // Six objects in the half that moves, six in the half that stays (its
+  // mirror image through the leaf's center); the rule counts the whole leaf
+  // and its limit is the population, so one object too few is a Fell edge.
+  const geo::Point2 moving = movedRect.center();
+  const geo::Point2 staying{2 * hotLeaf.rect.center().x - moving.x,
+                            2 * hotLeaf.rect.center().y - moving.y};
+  std::vector<geo::Point2> spots;
+  for (const geo::Point2& center : {moving, staying}) {
+    for (double dx : {-3.0, 0.0, 3.0}) {
+      for (double dy : {-2.0, 2.0}) spots.push_back({center.x + dx, center.y + dy});
+    }
+  }
+  ASSERT_EQ(spots.size(), 12u);
+  std::mutex mutex;
+  std::vector<core::DensityNotification> seen;
+  router_->subscribeDensity(hotLeaf.rect, 0.5, spots.size(),
+                            [&](const core::DensityNotification& n) {
+                              std::lock_guard lock(mutex);
+                              seen.push_back(n);
+                            });
+  for (std::size_t i = 0; i < spots.size(); ++i) {
+    clock_.advance(util::msec(20));
+    router_->ingest(makeReading(clock_.now(), spots[i], "crowd-" + std::to_string(i)));
+  }
+  const auto lastCount = [&] {
+    std::lock_guard lock(mutex);
+    return seen.empty() ? std::size_t{0} : seen.back().count;
+  };
+  const auto settle = [&] {
+    for (int i = 0; i < 400 && lastCount() != spots.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  };
+  settle();
+  ASSERT_EQ(lastCount(), spots.size());
+  std::size_t delivered = 0;
+  {
+    std::lock_guard lock(mutex);
+    delivered = seen.size();
+  }
+
+  ASSERT_TRUE(router_->rebalanceOnce(/*hotColdRatio=*/2.0, /*minReadings=*/8));
+  std::size_t onB = 0;
+  for (std::size_t i = 0; i < spots.size(); ++i) {
+    if (residentTokens("crowd-" + std::to_string(i)) == std::vector<std::string>{"b"}) ++onB;
+  }
+  EXPECT_EQ(onB, 6u) << "the moved half's residents live on the gainer";
+  settle();
+  EXPECT_EQ(lastCount(), router_->objectsInRegion(hotLeaf.rect, 0.5).size());
+  std::lock_guard lock(mutex);
+  for (std::size_t i = delivered; i < seen.size(); ++i) {
+    EXPECT_NE(seen[i].edge, cq::CountEdge::Fell) << "count " << seen[i].count;
+  }
+  // Each side recounts the rule once for the whole migration, not once per
+  // object: the gainer's seed or recount, then the loser's drop.
+  EXPECT_LE(seen.size() - delivered, 3u);
 }
 
 }  // namespace

@@ -1036,6 +1036,134 @@ TEST_F(ClusterTest, RingPlannedLeaveDrainsUnderLiveIngest) {
   }
 }
 
+// --- stale ring routers past the straggler window ---------------------------------
+
+/// Waits until every host has retired its migration sessions into
+/// tombstones (one straggler window after their end, plus heartbeat slack).
+bool waitForRetirement(const std::vector<ShardHost*>& hosts) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + kStragglerWindow + std::chrono::seconds(3);
+  const auto live = [&] {
+    std::size_t sessions = 0;
+    for (const ShardHost* host : hosts) sessions += host->migrationSessions();
+    return sessions;
+  };
+  while (live() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  return live() == 0;
+}
+
+/// `count` object ids that `ring` assigns to `owner`.
+std::vector<std::string> objectsOwnedBy(const HashRing& ring, const std::string& owner,
+                                        std::size_t count) {
+  std::vector<std::string> names;
+  for (int i = 0; names.size() < count && i < 10000; ++i) {
+    std::string name = "stale-" + std::to_string(i);
+    if (ring.ownerForObject(MobileObjectId{name}) == owner) names.push_back(std::move(name));
+  }
+  return names;
+}
+
+TEST_F(ClusterTest, RingJoinRedirectsAStaleRouterPastTheStragglerWindow) {
+  registry_ = std::make_unique<core::RegistryServer>();
+  for (const char* token : {"alpha", "beta"}) {
+    ShardHost::Options opts;
+    opts.ringToken = token;
+    opts.announceTtl = util::sec(5);
+    opts.heartbeatPeriod = util::msec(100);
+    hosts_.push_back(startHost(opts));
+  }
+  ClusterLocationService::Options routerOpts;
+  routerOpts.retry = fastRetry();
+  routerOpts.partitioning = ClusterLocationService::Partitioning::Ring;
+  router_ = std::make_unique<ClusterLocationService>("127.0.0.1", registry_->port(), routerOpts);
+  const std::vector<std::string> moved =
+      objectsOwnedBy(HashRing({"alpha", "beta", "gamma"}), "gamma", 4);
+  ASSERT_EQ(moved.size(), 4u);
+  for (const auto& name : moved) router_->ingest(makeReading(clock_, {5, 5}, name));
+
+  ShardHost::Options gammaOpts;
+  gammaOpts.ringToken = "gamma";
+  gammaOpts.deferAnnounce = true;
+  gammaOpts.announceTtl = util::sec(5);
+  gammaOpts.heartbeatPeriod = util::msec(100);
+  auto gamma = startHost(gammaOpts);
+  gamma->joinRing();
+  router_->refreshShardMap();
+  gamma->completeJoin();
+
+  // The router does not refresh again, so its window stays open past the
+  // losers' straggler window: it keeps sending the moved objects' ingest
+  // to their previous owners, which now hold only tombstones.
+  ASSERT_TRUE(waitForRetirement({hosts_[0].get(), hosts_[1].get()}));
+  ASSERT_TRUE(router_->dualReadWindowOpen());
+  for (const auto& name : moved) {
+    clock_.advance(util::msec(10));
+    router_->ingest(makeReading(clock_, {7, 5}, name));
+  }
+  EXPECT_FALSE(router_->dualReadWindowOpen()) << "a refused ingest makes the router refresh";
+  EXPECT_EQ(router_->stats().droppedIngestReadings, 0u);
+  EXPECT_EQ(router_->stats().failedRoutedCalls, 0u);
+  for (const auto& name : moved) {
+    const MobileObjectId object{name};
+    EXPECT_EQ(gamma->core().database().exportObjectLog(object).size(), 2u)
+        << name << ": the joiner holds the handed-over reading and the late one";
+    for (const auto& host : hosts_) {
+      EXPECT_TRUE(host->core().database().exportObjectLog(object).empty())
+          << name << " must not be stored by the old owner " << host->name();
+    }
+  }
+}
+
+TEST_F(ClusterTest, RingLeaveRedirectsAStaleRouterPastTheStragglerWindow) {
+  registry_ = std::make_unique<core::RegistryServer>();
+  for (const char* token : {"alpha", "beta"}) {
+    ShardHost::Options opts;
+    opts.ringToken = token;
+    opts.announceTtl = util::sec(5);
+    opts.heartbeatPeriod = util::msec(100);
+    hosts_.push_back(startHost(opts));
+  }
+  ShardHost::Options gammaOpts;
+  gammaOpts.ringToken = "gamma";
+  gammaOpts.announceTtl = util::sec(5);
+  gammaOpts.heartbeatPeriod = util::msec(100);
+  auto gamma = startHost(gammaOpts);
+  ClusterLocationService::Options routerOpts;
+  routerOpts.retry = fastRetry();
+  routerOpts.partitioning = ClusterLocationService::Partitioning::Ring;
+  router_ = std::make_unique<ClusterLocationService>("127.0.0.1", registry_->port(), routerOpts);
+  const std::vector<std::string> moved =
+      objectsOwnedBy(HashRing({"alpha", "beta", "gamma"}), "gamma", 4);
+  ASSERT_EQ(moved.size(), 4u);
+  for (const auto& name : moved) router_->ingest(makeReading(clock_, {5, 5}, name));
+
+  gamma->leaveRing();
+  router_->refreshShardMap();
+
+  // The window stays open past the leaver's straggler window: the router
+  // keeps sending the drained objects' ingest to the leaver.
+  ASSERT_TRUE(waitForRetirement({gamma.get()}));
+  ASSERT_TRUE(router_->dualReadWindowOpen());
+  for (const auto& name : moved) {
+    clock_.advance(util::msec(10));
+    router_->ingest(makeReading(clock_, {7, 5}, name));
+  }
+  EXPECT_FALSE(router_->dualReadWindowOpen()) << "a refused ingest makes the router refresh";
+  EXPECT_EQ(router_->stats().droppedIngestReadings, 0u);
+  EXPECT_EQ(router_->stats().failedRoutedCalls, 0u);
+  const HashRing after({"alpha", "beta"});
+  for (const auto& name : moved) {
+    const MobileObjectId object{name};
+    EXPECT_TRUE(gamma->core().database().exportObjectLog(object).empty())
+        << name << " must not be stored by the member that left";
+    const std::size_t heir = after.ownerForObject(object) == "alpha" ? 0 : 1;
+    EXPECT_EQ(hosts_[heir]->core().database().exportObjectLog(object).size(), 2u)
+        << name << ": the inheritor holds the drained reading and the late one";
+  }
+}
+
 // --- concurrency (runs under TSan in CI) ----------------------------------------
 
 TEST_F(ClusterTest, ClusterConcurrencyMixedOpsThroughOneRouter) {

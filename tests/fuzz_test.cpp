@@ -6,9 +6,13 @@
 
 #include <string>
 
+#include "cluster/replication.hpp"
+#include "cluster/shard_host.hpp"
+#include "core/remote_registry.hpp"
 #include "fusion/engine.hpp"
 #include "glob/glob.hpp"
 #include "orb/message.hpp"
+#include "orb/tcp.hpp"
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -171,6 +175,94 @@ TEST_P(FusionFuzz, InferredEstimateIsAlwaysSane) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FusionFuzz, ::testing::Values(5u, 17u, 23u));
+
+// --- migrate.* payloads from the wire ----------------------------------------------
+
+/// A live shard host and a raw connection to it: hostile payloads must come
+/// back as error replies, and the host must keep serving afterwards.
+class MigrateFuzz : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  void SetUp() override {
+    cluster::ShardHost::Options opts;
+    opts.announceTtl = util::Duration::zero();
+    opts.enableShm = false;
+    host_ = std::make_unique<cluster::ShardHost>(clock_, geo::Rect::fromOrigin({0, 0}, 100, 100),
+                                                 "F", "127.0.0.1", registry_.port(), opts);
+    host_->start();
+    rpc_ = std::make_unique<orb::RpcClient>(orb::tcpConnect("127.0.0.1", host_->port()));
+  }
+
+  void expectRejected(const std::string& method, const util::Bytes& payload,
+                      const std::string& what) {
+    EXPECT_THROW(static_cast<void>(rpc_->call(method, payload)), util::MwError)
+        << method << ": " << what;
+  }
+
+  util::VirtualClock clock_;
+  core::RegistryServer registry_;
+  std::unique_ptr<cluster::ShardHost> host_;
+  std::unique_ptr<orb::RpcClient> rpc_;
+};
+
+TEST_P(MigrateFuzz, TruncatedBeginAndAdoptGetErrorReplies) {
+  util::Rng rng{GetParam()};
+  cluster::MigrateBegin request;
+  request.gainerToken = "g";
+  request.gainer = core::Endpoint{"127.0.0.1", 1, ""};
+  request.objects = {util::MobileObjectId{"o-1"}, util::MobileObjectId{"o-2"}};
+  request.rects = {geo::Rect::fromOrigin({0, 0}, 5, 5), geo::Rect{}};
+  const util::Bytes begin = cluster::encodeMigrateBegin(request);
+  util::ByteWriter adoptWriter;
+  adoptWriter.u32(2);
+  adoptWriter.str("o-1");
+  adoptWriter.str("o-2");
+  const util::Bytes adopt = adoptWriter.take();
+  for (int iter = 0; iter < 40; ++iter) {
+    for (const auto& [method, full] : {std::pair{"migrate.begin", begin},
+                                       std::pair{"migrate.adopt", adopt}}) {
+      const auto cut = static_cast<std::size_t>(rng.uniformInt(0, std::ssize(full) - 1));
+      const util::Bytes truncated(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+      expectRejected(method, truncated, "cut at " + std::to_string(cut));
+      util::Bytes padded = full;
+      padded.push_back(static_cast<std::uint8_t>(rng.uniformInt(0, 255)));
+      expectRejected(method, padded, "one trailing byte");
+    }
+  }
+  EXPECT_NO_THROW(static_cast<void>(rpc_->call("migrate.adopt", adopt)));
+  EXPECT_EQ(host_->migrationSessions(), 0u);
+}
+
+TEST_P(MigrateFuzz, OversizedCountsGetErrorReplies) {
+  util::Rng rng{GetParam() ^ 0xC0FFEE};
+  for (int iter = 0; iter < 20; ++iter) {
+    // A count near 2^32 with a few bytes behind it would reserve up to
+    // ~128 GiB if believed.
+    const auto count = static_cast<std::uint32_t>(rng.uniformInt(1u << 20, 0xFFFFFFFFll));
+    util::Bytes tailBytes(static_cast<std::size_t>(rng.uniformInt(0, 16)), 0);
+
+    util::ByteWriter adopt;
+    adopt.u32(count);
+    adopt.raw(tailBytes.data(), tailBytes.size());
+    expectRejected("migrate.adopt", adopt.take(), "object count " + std::to_string(count));
+
+    // Oversize each of begin's three counts in turn (arcs, objects, rects).
+    for (int field = 0; field < 3; ++field) {
+      util::ByteWriter w;
+      w.str("g");
+      w.str("127.0.0.1");
+      w.u16(1);
+      w.str("");
+      for (int f = 0; f < field; ++f) w.u32(0);
+      w.u32(count);
+      w.raw(tailBytes.data(), tailBytes.size());
+      expectRejected("migrate.begin", w.take(),
+                     "count " + std::to_string(count) + " in field " + std::to_string(field));
+    }
+  }
+  EXPECT_NO_THROW(static_cast<void>(rpc_->call("territory.stats", {})));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MigrateFuzz, ::testing::Values(31u, 37u));
 
 }  // namespace
 }  // namespace mw
