@@ -7,6 +7,7 @@
 // met on a per-object writer lock.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -125,6 +126,49 @@ static void BM_IngestSequentialLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_IngestSequentialLoop)->UseRealTime();
+
+// Ingest beside region scans: a poller thread scans the whole store's
+// evidence boxes in a loop (the candidate discovery of a region poll or a
+// density recount) while four shards ingest batches that move every person.
+// A box-moving append writes its stripe's evidence-box column under the
+// column lock, so it can wait for a scan of that stripe in progress; Arg(0)
+// is the same ingest with no poller. 4,000 more people stay put in the store
+// so each scan has a census-sized population to cover.
+static void BM_IngestBatchBesideRegionScans(benchmark::State& state) {
+  Fixture f;
+  f.service->setIngestShards(4);
+  std::vector<db::SensorReading> crowd = f.makeBatch(4000, 1);
+  for (auto& r : crowd) r.mobileObjectId = util::MobileObjectId{"c" + r.mobileObjectId.str()};
+  f.service->ingestBatch(crowd);
+  std::vector<db::SensorReading> batch = f.makeBatch(64, 2);
+  std::atomic<bool> stop{false};
+  std::atomic<std::int64_t> scans{0};
+  std::thread poller;
+  if (state.range(0) > 0) {
+    poller = std::thread([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        benchmark::DoNotOptimize(f.database->mobileObjectsIntersecting(f.bp.universe));
+        scans.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  double step = 0.5;
+  for (auto _ : state) {
+    for (auto& r : batch) {
+      r.detectionTime = f.clock.now();
+      r.location.x += step;  // every append moves its object's box
+    }
+    step = -step;
+    f.service->ingestBatch(batch);
+    f.clock.advance(util::msec(100));
+  }
+  stop.store(true, std::memory_order_relaxed);
+  if (poller.joinable()) poller.join();
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(batch.size()));
+  state.counters["scans"] = static_cast<double>(scans.load());
+  state.SetLabel(state.range(0) > 0 ? "4 shards, 1 poller" : "4 shards, no poller");
+}
+BENCHMARK(BM_IngestBatchBesideRegionScans)->Arg(0)->Arg(1)->UseRealTime();
 
 // Custom main: stamp the host's core count into the JSON context so the
 // shard-scaling curve in BENCH_ingest.json is interpretable per host (a

@@ -499,8 +499,8 @@ bool ClusterLocationService::migrateObjects(const std::string& from, const std::
   } catch (const util::MwError& e) {
     // Homes stay put and ingest keeps flowing to the loser, whose session
     // (where installed) keeps buffering the objects' readings until the
-    // next migration attempt's migrate.begin prunes it, buffer and all, and
-    // starts over.
+    // next migration attempt's migrate.begin prunes it and applies the
+    // buffer to the loser's store, ahead of that attempt's export.
     {
       std::lock_guard lock(spatialMutex_);
       for (const auto& object : affected) moving_.erase(object);

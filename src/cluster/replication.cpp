@@ -80,15 +80,28 @@ bool HandoffSession::covers(const util::MobileObjectId& object) const {
                      [&](const RingArc& arc) { return arc.contains(key); });
 }
 
-bool HandoffSession::removeObjects(std::span<const util::MobileObjectId> objects) {
-  std::unique_lock lock(coverMutex_);
-  if (!arcs_.empty()) {
-    for (const auto& object : objects) removed_.insert(object);
-    return false;
+bool HandoffSession::removeObjects(std::span<const util::MobileObjectId> objects,
+                                   std::vector<db::SensorReading>& reclaimed) {
+  bool emptied = false;
+  {
+    std::unique_lock lock(coverMutex_);
+    if (!arcs_.empty()) {
+      for (const auto& object : objects) removed_.insert(object);
+    } else {
+      const bool had = !objects_.empty();
+      for (const auto& object : objects) objects_.erase(object);
+      emptied = had && objects_.empty();
+    }
   }
-  const bool had = !objects_.empty();
-  for (const auto& object : objects) objects_.erase(object);
-  return had && objects_.empty();
+  std::lock_guard lock(mutex_);
+  if (buffer_.empty()) return emptied;  // nothing held, or already flushed
+  const std::unordered_set<util::MobileObjectId> gone(objects.begin(), objects.end());
+  std::vector<db::SensorReading> kept;
+  for (auto& reading : buffer_) {
+    (gone.contains(reading.mobileObjectId) ? reclaimed : kept).push_back(std::move(reading));
+  }
+  buffer_ = std::move(kept);
+  return emptied;
 }
 
 std::vector<util::MobileObjectId> HandoffSession::objects() const {

@@ -118,10 +118,15 @@ class HandoffSession {
 
   /// Excludes objects from this session's coverage from now on — a later
   /// migration taking an object away from the gaining side must stop this
-  /// session from eating the object's readings. Call only while ingest is
-  /// paused (no filter() in flight). Returns true when this emptied an
-  /// object set that was not empty: the session then moves nothing more.
-  bool removeObjects(std::span<const util::MobileObjectId> objects);
+  /// session from eating the object's readings. Readings of those objects
+  /// still buffered (the session was abandoned before its flush) were acked
+  /// by this host and reach the gainer no more: they are moved to the end
+  /// of `reclaimed` in arrival order, for the caller to apply here. Call
+  /// only while ingest is paused (no filter() in flight). Returns true when
+  /// this emptied an object set that was not empty: the session then moves
+  /// nothing more.
+  bool removeObjects(std::span<const util::MobileObjectId> objects,
+                     std::vector<db::SensorReading>& reclaimed);
 
   /// Tap fragment: removes and consumes the readings this session covers
   /// (buffered before flush(), forwarded after), returns the rest.

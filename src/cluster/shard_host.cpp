@@ -444,39 +444,73 @@ MigrateSession ShardHost::beginSession(const MigrateBegin& request) {
       if (session->covers(object)) out.objects.push_back(object);
     }
   }
-  std::lock_guard lock(mutex_);
-  // Older sessions are pruned of the moving objects first, so an object
-  // migrating BACK to a shard it once left is not eaten by the stale
-  // forwarding session of that earlier migration.
-  pruneLocked(out.objects);
-  out.id = nextSession_++;
-  sessions_.emplace(out.id, Session{std::move(session), std::nullopt});
-  publishTapLocked();
+  std::vector<db::SensorReading> reclaimed;
+  {
+    std::lock_guard lock(mutex_);
+    // Older sessions are pruned of the moving objects first, so an object
+    // migrating BACK to a shard it once left is not eaten by the stale
+    // forwarding session of that earlier migration.
+    reclaimed = pruneLocked(out.objects);
+    out.id = nextSession_++;
+    sessions_.emplace(out.id, Session{std::move(session), std::nullopt});
+    publishTapLocked();
+  }
+  pause.unlock();
+  // Before the reply, so the migration's export carries these readings ahead
+  // of everything the new session buffers.
+  applyReclaimed(reclaimed);
   return out;
 }
 
 void ShardHost::adoptObjects(std::span<const util::MobileObjectId> objects) {
+  std::vector<db::SensorReading> reclaimed;
   {
     auto pause = core_->locationService().pauseIngest();
     std::lock_guard lock(mutex_);
-    pruneLocked(objects);
+    reclaimed = pruneLocked(objects);
     publishTapLocked();
   }
+  applyReclaimed(reclaimed);
   core_->locationService().recountDensity(objects);
 }
 
-void ShardHost::pruneLocked(std::span<const util::MobileObjectId> objects) {
+std::vector<db::SensorReading> ShardHost::pruneLocked(
+    std::span<const util::MobileObjectId> objects) {
   // A session whose object set empties moves nothing more: it is what a
-  // failed migration left behind.
-  std::erase_if(sessions_,
-                [&](const auto& entry) { return entry.second.handoff->removeObjects(objects); });
+  // failed migration left behind. What it buffered was acked here.
+  std::vector<db::SensorReading> reclaimed;
+  std::erase_if(sessions_, [&](const auto& entry) {
+    return entry.second.handoff->removeObjects(objects, reclaimed);
+  });
   if (std::none_of(objects.begin(), objects.end(),
                    [&](const auto& object) { return moved_->objects.contains(object); })) {
-    return;
+    return reclaimed;
   }
   auto moved = std::make_shared<Tombstones>(*moved_);
   for (const auto& object : objects) moved->objects.erase(object);
   moved_ = std::move(moved);
+  return reclaimed;
+}
+
+void ShardHost::applyReclaimed(std::span<const db::SensorReading> readings) {
+  if (readings.empty()) return;
+  util::logInfo("ShardHost", name_, ": applying ", readings.size(),
+                " reading(s) an abandoned migration session had buffered");
+  // The tap took these before the store checked their sensors: one that
+  // fails now (sensor unregistered, or deregistered since) is dropped alone,
+  // as a failed forward would have been, and the rest still apply.
+  std::vector<db::SensorReading> applied;
+  applied.reserve(readings.size());
+  for (const auto& reading : readings) {
+    try {
+      core_->locationService().ingestUntapped(reading);
+      applied.push_back(reading);
+    } catch (const util::MwError& e) {
+      util::logWarn("ShardHost", name_, ": dropping a buffered reading of ",
+                    reading.mobileObjectId.str(), ": ", e.what());
+    }
+  }
+  if (auto link = replicationLink(); link && !applied.empty()) link->mirror(applied);
 }
 
 std::optional<ShardHost::Session> ShardHost::findSession(std::uint64_t id) const {

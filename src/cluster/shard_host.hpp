@@ -266,8 +266,18 @@ class ShardHost {
   /// Turns ended sessions whose straggler window has passed into tombstones.
   void retireSessions();
   /// Removes the objects from every session's coverage (erasing a session
-  /// this empties) and from the tombstones. mutex_ held, ingest paused.
-  void pruneLocked(std::span<const util::MobileObjectId> objects);
+  /// this empties) and from the tombstones, and returns the readings of
+  /// them that abandoned sessions still buffered. mutex_ held, ingest
+  /// paused.
+  [[nodiscard]] std::vector<db::SensorReading> pruneLocked(
+      std::span<const util::MobileObjectId> objects);
+  /// Applies what pruneLocked reclaimed as this host's own ingest, in
+  /// arrival order: stored with its triggers evaluated, past the tap (a new
+  /// session may cover the objects and must not buffer these older readings
+  /// after newer ones), then mirrored to the backup. A reading the store
+  /// refuses (unknown sensor) is logged and dropped; the rest still apply.
+  /// Takes the ingest gate, so the caller must have ended its pause.
+  void applyReclaimed(std::span<const db::SensorReading> readings);
   /// Throws kMovedError for the first reading of `batch` a tombstone
   /// covers, unless the tombstone is a ring arc whose gainer has left the
   /// ring — that tombstone is dropped instead.

@@ -191,6 +191,11 @@ void LocationService::ingestBatch(std::span<const db::SensorReading> readings) {
   pool.run(std::move(jobs));
 }
 
+void LocationService::ingestUntapped(const db::SensorReading& reading) {
+  std::shared_lock gate(ingestGate_);
+  ingestOne(reading);
+}
+
 void LocationService::importBatch(std::span<const db::SensorReading> readings) {
   if (readings.empty()) return;
   // Imports share the ingest gate (a pauseIngest() window excludes them like
@@ -569,7 +574,8 @@ std::vector<std::pair<MobileObjectId, double>> LocationService::objectsInRegion(
     }
   }
 
-  // Candidate discovery: one R-tree pass over the per-object evidence boxes.
+  // Candidate discovery: one scan of the reading store's per-stripe
+  // evidence-box columns (no snapshot pins), unordered — sorted below.
   std::vector<MobileObjectId> candidates = db_.mobileObjectsIntersecting(region);
 
   // Revalidate the population: fresh members are reused outright; stale or

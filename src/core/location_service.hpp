@@ -115,6 +115,13 @@ class LocationService {
   /// path.
   void ingestBatch(std::span<const db::SensorReading> readings);
 
+  /// ingest() minus the tap, for readings a tap consumed and acked that
+  /// must be applied here after all (a migration session abandoned before
+  /// its flush hands its buffer back this way). Subscriptions and density
+  /// rules see them as on ingest; not counted in ingestedReadings().
+  /// Throws like ingest() (an unregistered sensor is a NotFoundError).
+  void ingestUntapped(const db::SensorReading& reading);
+
   /// Replay path for handoff/replication imports: stores the readings
   /// (universe conversion, evidence boxes, epochs) but bypasses the ingest
   /// tap AND the subscription/trigger machinery — an imported reading
@@ -236,8 +243,8 @@ class LocationService {
   /// against their current readings epochs and re-fuses ONLY the stale ones
   /// (through the per-object cache above), so repolling an N-person region
   /// costs O(changed objects) fusions instead of O(N). Candidate discovery
-  /// runs once per poll as a single R-tree pass over the database's
-  /// per-object evidence boxes; a catalogEpoch move (spatial-object
+  /// runs once per poll as one scan of the reading store's per-stripe
+  /// evidence-box columns; a catalogEpoch move (spatial-object
   /// insert/delete, sensor (de)registration, population change) forces a
   /// full rebuild. Staleness tolerance is shared with the fusion cache
   /// (setFusionCacheTolerance).

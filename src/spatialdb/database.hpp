@@ -195,8 +195,8 @@ class SpatialDatabase {
   [[nodiscard]] std::vector<util::MobileObjectId> knownMobileObjects() const;
 
   /// Mobile objects with at least one stored reading whose MBR intersects
-  /// `universeRect` — one pass over the store's published per-object
-  /// evidence boxes, the candidate-discovery primitive for region
+  /// `universeRect` — one scan of the store's per-stripe columns of
+  /// published evidence boxes, the candidate-discovery primitive for region
   /// population queries. The box is the union of the object's stored
   /// reading rects and is only recomputed on insert/expiry, so it is a
   /// conservative superset while readings age out lazily: discovery can

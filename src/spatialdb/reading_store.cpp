@@ -130,6 +130,13 @@ ReadingStore::SnapshotPtr ReadingStore::loadSnap(const ObjectLog& log) {
 }
 
 void ReadingStore::storeSnap(ObjectLog& log, SnapshotPtr next) {
+  // The writer lock the caller holds keeps log.snap stable without the slot
+  // lock. The column slot is written first, so a scan racing this publish
+  // sees the new box no later than the snapshot's readers do.
+  if (next->box != log.snap->box) {
+    std::unique_lock lock(log.stripe.columnMutex);
+    log.stripe.boxes[log.slot] = next->box;
+  }
   {
     std::unique_lock lock(log.snapMutex);
     log.snap.swap(next);
@@ -163,9 +170,14 @@ ReadingStore::ObjectLog& ReadingStore::obtainLog(const util::MobileObjectId& id)
     if (it != stripe.logs.end()) return *it->second;
   }
   std::unique_lock lock(stripe.mapMutex);
-  auto& slot = stripe.logs[id];
-  if (!slot) slot = std::make_unique<ObjectLog>();
-  return *slot;
+  auto [it, created] = stripe.logs.try_emplace(id);
+  if (created) {
+    std::unique_lock column(stripe.columnMutex);
+    it->second = std::make_unique<ObjectLog>(stripe, stripe.boxes.size());
+    stripe.boxes.emplace_back();  // empty until the first publish
+    stripe.ids.push_back(&it->first);
+  }
+  return *it->second;
 }
 
 std::unique_lock<std::mutex> ReadingStore::lockWriter(ObjectLog& log) const {
@@ -315,10 +327,11 @@ std::vector<util::MobileObjectId> ReadingStore::objectsIntersecting(
     const geo::Rect& universeRect) const {
   std::vector<util::MobileObjectId> out;
   for (const auto& stripe : stripes_) {
-    std::shared_lock lock(stripe->mapMutex);
-    for (const auto& [id, log] : stripe->logs) {
-      SnapshotPtr snap = loadSnap(*log);
-      if (!snap->box.empty() && snap->box.intersects(universeRect)) out.push_back(id);
+    std::shared_lock lock(stripe->columnMutex);
+    const std::vector<geo::Rect>& boxes = stripe->boxes;
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+      // An empty box (dropped or aged-out object) intersects nothing.
+      if (boxes[i].intersects(universeRect)) out.push_back(*stripe->ids[i]);
     }
   }
   return out;
@@ -361,11 +374,12 @@ std::vector<SensorReading> ReadingStore::exportLog(const util::MobileObjectId& i
 
 bool ReadingStore::dropObject(const util::MobileObjectId& id) {
   // Publishes an empty snapshot instead of erasing the map entry: readers
-  // hold ObjectLog pointers past the stripe lock (logs are stable for the
-  // store's lifetime), so erasure would dangle them. An emptied log is
-  // invisible to every read path — knownObjects and objectsIntersecting
-  // filter empty snapshots, freshReadings returns nothing — which is all
-  // "dropped" means.
+  // hold ObjectLog pointers past the stripe lock, and the stripe's column
+  // points at the map key, so erasure would dangle both (logs and column
+  // slots are stable for the store's lifetime). An emptied log is
+  // invisible to every read path — knownObjects filters empty snapshots,
+  // storeSnap empties the column slot objectsIntersecting scans,
+  // freshReadings returns nothing — which is all "dropped" means.
   ObjectLog* log = findLog(id);
   if (log == nullptr) return false;
   std::lock_guard lock(log->writeMutex);

@@ -18,11 +18,21 @@
 //     seqlock's racy reads TSan would rightly flag; the slot lock keeps the
 //     publication protocol provable under -DMW_SANITIZE=thread.)
 //
-// Concurrent appends on different objects therefore never touch the same
-// lock: they meet only on their stripe's map mutex (shared mode, and only
-// to look the log up) and on disjoint cache lines otherwise. Readers
-// (fusion, region discovery) never hold a lock while a snapshot is in use,
-// so they cannot stall writers for longer than the pointer pin.
+// Concurrent appends on different objects meet only on their stripe's map
+// mutex (shared mode, and only to look the log up) and, when the append
+// moves the object's evidence box, on the stripe's column mutex for one
+// 32-byte slot write. That write takes the column mutex in unique mode, so
+// a box-moving append waits for any region scan of its stripe in progress
+// (one stripe's column, not the whole store). Readers (fusion) never hold a
+// lock while a snapshot is in use, so they cannot stall writers for longer
+// than the pointer pin.
+//
+// Region discovery reads neither maps nor snapshots: each stripe keeps a
+// contiguous column of its objects' published evidence boxes (one slot per
+// log, written by storeSnap just before a snapshot whose box changed is
+// published), and objectsIntersecting scans the columns under their shared
+// column locks. A flat column costs one store per moving append; an index
+// tree would cost a remove plus an insert on every move.
 //
 // The sensor-metadata table lives here too, published copy-on-write as one
 // immutable map: the ingest hot path pins calibration/TTL with the same
@@ -116,17 +126,20 @@ class ReadingStore {
   /// reading, sorted.
   [[nodiscard]] std::vector<util::MobileObjectId> knownObjects() const;
 
-  /// Objects whose published evidence box intersects `universeRect` — one
-  /// non-blocking pass over the published snapshots (the box is the union of
-  /// the stored reading rects, recomputed on append/expiry, so it is a
-  /// conservative superset while readings age out lazily).
+  /// Objects whose published evidence box intersects `universeRect`
+  /// (closed sets), in no particular order — one scan of each stripe's
+  /// evidence-box column under its shared column lock, touching no object
+  /// map and no snapshot. The box is the union of the stored reading rects,
+  /// recomputed on append and expiry, so the answer is a conservative
+  /// superset while readings age out lazily.
   [[nodiscard]] std::vector<util::MobileObjectId> objectsIntersecting(
       const geo::Rect& universeRect) const;
 
   /// One object's published evidence box (union of its stored reading
-  /// rects); nullopt when the object has no stored readings. The same
-  /// conservative box objectsIntersecting scans — what a spatial router
-  /// needs to find the territory owner of an object's evidence.
+  /// rects); nullopt when the object has no stored readings. Always equal
+  /// to the object's slot in the column objectsIntersecting scans — what a
+  /// spatial router needs to find the territory owner of an object's
+  /// evidence.
   [[nodiscard]] std::optional<geo::Rect> evidenceBoxOf(const util::MobileObjectId& id) const;
 
   /// Recent readings within `window` before now, oldest first (the history
@@ -197,7 +210,12 @@ class ReadingStore {
   };
   using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
+  struct Stripe;
+
   struct ObjectLog {
+    ObjectLog(Stripe& owner, std::size_t columnSlot) : stripe(owner), slot(columnSlot) {}
+    Stripe& stripe;          ///< holds this object's evidence-box column slot
+    const std::size_t slot;  ///< index into stripe.boxes / stripe.ids
     std::mutex writeMutex;  ///< serializes producers for this object
     /// Publication slot: the slot lock guards ONLY the pointer swap/pin;
     /// snapshot contents are immutable once published.
@@ -209,6 +227,14 @@ class ReadingStore {
   struct Stripe {
     mutable std::shared_mutex mapMutex;
     std::unordered_map<util::MobileObjectId, std::unique_ptr<ObjectLog>> logs;
+    /// Evidence-box column: boxes[log.slot] is the box of the log's
+    /// published snapshot and ids[log.slot] points at its map key (map
+    /// nodes never move and logs are never erased). Unique for a slot
+    /// write or a new slot, shared for a region scan; taken after mapMutex
+    /// when both are held.
+    mutable std::shared_mutex columnMutex;
+    std::vector<geo::Rect> boxes;
+    std::vector<const util::MobileObjectId*> ids;
   };
 
   /// Mutable per-sensor activity cell, shared by every published table
@@ -231,7 +257,10 @@ class ReadingStore {
 
   /// Pins the published snapshot (shared slot lock, refcount bump only).
   [[nodiscard]] static SnapshotPtr loadSnap(const ObjectLog& log);
-  /// Publishes `next` (unique slot lock, pointer swap only).
+  /// Publishes `next` (unique slot lock, pointer swap only), first writing
+  /// its box into the log's column slot when the box changed. The one
+  /// publication path, so every published box equals its column slot; the
+  /// caller holds the object's writer lock.
   static void storeSnap(ObjectLog& log, SnapshotPtr next);
   /// Pins the published sensor-metadata table.
   [[nodiscard]] MetaTablePtr loadMetas() const;

@@ -854,6 +854,66 @@ TEST_F(ClusterSpatialTest, AbandonedMigrationsLeaveAtMostOneSessionPerObject) {
   EXPECT_EQ(a.migrationSessions(), 1u);
 }
 
+TEST_F(ClusterSpatialTest, RetriedMigrationKeepsReadingsAnAbandonedSessionBuffered) {
+  startClusters({"a", "b"});
+  ShardHost& a = *spaceHosts_.at("a");
+  ShardHost& b = *spaceHosts_.at("b");
+  const TerritoryMap map = router_->territorySnapshot();
+  geo::Point2 home = universe().center();
+  for (double x = universe().lo().x + 1; map.ownerForPoint(home) != "a"; x += 1) {
+    home = {x, universe().center().y};
+  }
+  geo::Point2 away = universe().center();
+  for (double x = universe().hi().x - 1; map.ownerForPoint(away) != "b"; x -= 1) {
+    away = {x, universe().center().y};
+  }
+  const std::string mover = "mover";
+  const MobileObjectId moverId{mover};
+  std::vector<util::TimePoint> sent;
+  const auto send = [&](geo::Point2 where) {
+    clock_.advance(util::msec(100));
+    ingestBoth(makeReading(clock_.now(), where, mover));
+    sent.push_back(clock_.now());
+  };
+  send(home);
+  ASSERT_EQ(residentTokens(mover), std::vector<std::string>{"a"});
+
+  // A migration that failed right after migrate.begin: the session stays
+  // installed on the loser and buffers the mover's readings, which the
+  // loser acks while the router keeps homing the mover there.
+  orb::RpcClient loser(orb::tcpConnect("127.0.0.1", a.port()));
+  const core::Endpoint gainer{"127.0.0.1", b.port(), b.shmName()};
+  ASSERT_EQ(migrateBegin(loser, MigrateBegin{"b", gainer, {}, {moverId}, {}}).objects,
+            std::vector<MobileObjectId>{moverId});
+  for (int i = 1; i <= 5; ++i) {
+    send({home.x + 0.2 * i, home.y});
+    if (i != 3) continue;
+    // The tap buffers before the store checks the sensor: a reading from a
+    // sensor no shard knows is acked too, and must not cost the others.
+    clock_.advance(util::msec(100));
+    db::SensorReading ghost = makeReading(clock_.now(), {home.x + 0.7, home.y}, mover);
+    ghost.sensorId = SensorId{"ghost"};
+    router_->ingest(ghost);
+  }
+  EXPECT_EQ(a.core().database().history(moverId, util::sec(3600)).size(), 1u)
+      << "the abandoned session holds the later readings";
+
+  // The retry: a reading across the border makes the router migrate the
+  // mover. Its begin prunes the abandoned session and applies the buffer at
+  // the loser first, so the export carries every acked reading.
+  send(away);
+  EXPECT_EQ(router_->movingObjects(), 0u);
+  ASSERT_EQ(residentTokens(mover), std::vector<std::string>{"b"});
+  std::vector<util::TimePoint> atOwner;
+  for (const auto& r : b.core().database().history(moverId, util::sec(3600))) {
+    atOwner.push_back(r.detectionTime);
+  }
+  EXPECT_EQ(atOwner, sent)
+      << "every acked reading of a known sensor reaches the final owner, in order";
+  expectOracleEquivalence({mover}, "after the retried migration");
+  EXPECT_EQ(router_->stats().droppedIngestReadings, 0u);
+}
+
 TEST_F(ClusterSpatialTest, RebalanceUnderADensityRuleAtItsLimitFiresNoEdge) {
   startClusters({"a", "b"});
   const TerritoryMap before = router_->territorySnapshot();

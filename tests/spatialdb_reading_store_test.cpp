@@ -1,19 +1,24 @@
 // The striped reading store: concurrent appends to the same and different
-// objects against snapshot readers (run under -DMW_SANITIZE=thread to prove
-// the epoch-publication protocol race-free), lazy TTL-expiry epoch bumps,
+// objects against snapshot readers and evidence-column scans (run under
+// -DMW_SANITIZE=thread to prove the epoch-publication protocol and the
+// column race-free), an oracle pinning the column scan to a brute-force
+// filter of the published boxes, lazy TTL-expiry epoch bumps,
 // the shared sensor-table epoch path, the catalog/readings lock split (a
 // long catalog read must never block ingest), the batch-size-independent
 // ingest worker pool, and an oracle pinning sharded ingest to byte-identical
 // fusion results vs. the sequential path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/location_service.hpp"
+#include "util/rng.hpp"
 
 namespace mw::core {
 namespace {
@@ -85,20 +90,37 @@ TEST(ReadingStoreConcurrencyTest, DifferentObjectsAppendWithoutContention) {
 
   std::atomic<bool> stop{false};
   std::atomic<int> snapshotsRead{0};
+  std::set<std::string> names;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int o = 0; o < kObjectsPerThread; ++o) {
+      names.insert("p" + std::to_string(t) + "-" + std::to_string(o));
+    }
+  }
 
   // Readers take lock-free snapshots of every read surface while the
-  // writers run; TSan proves the publication protocol, the asserts prove
-  // each snapshot is internally consistent.
+  // writers run; TSan proves the publication protocol and that column
+  // scans race column writes safely, the asserts prove each snapshot and
+  // each scan is internally consistent.
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&] {
+      // Half the universe: objects cross its edge as the writers move them.
+      const geo::Rect west = geo::Rect::fromOrigin({0, 0}, 7, 50);
       while (!stop.load(std::memory_order_acquire)) {
         for (const auto& id : f.db.knownMobileObjects()) {
           auto stored = f.db.readingsFor(id);
           EXPECT_LE(stored.size(), 1u);  // one sensor per object below
           (void)f.db.readingsEpoch(id);
         }
-        (void)f.db.mobileObjectsIntersecting(f.db.universe());
+        for (const geo::Rect& q : {f.db.universe(), west}) {
+          std::vector<MobileObjectId> found = f.db.mobileObjectsIntersecting(q);
+          std::set<std::string> distinct;
+          for (const auto& id : found) {
+            EXPECT_TRUE(names.contains(id.str())) << id.str();
+            distinct.insert(id.str());
+          }
+          EXPECT_EQ(distinct.size(), found.size()) << "a scan reports each object once";
+        }
         snapshotsRead.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -111,7 +133,12 @@ TEST(ReadingStoreConcurrencyTest, DifferentObjectsAppendWithoutContention) {
         for (int o = 0; o < kObjectsPerThread; ++o) {
           std::string person = "p" + std::to_string(t) + "-" + std::to_string(o);
           f.db.insertReading(
-              f.read("ubi-1", person.c_str(), {5.0 + o + round * 0.01, 5.0 + t}));
+              f.read("ubi-1", person.c_str(), {5.0 + o + round * 0.05, 5.0 + t}));
+          // Every fifth round empties the box (a logout) before the next
+          // append refills it: both kinds of column write meet the scans.
+          // The last round is not a logout round, so every object ends
+          // with one reading.
+          if (round % 5 == 2) f.db.expireReadings(MobileObjectId{person}, SensorId{"ubi-1"});
         }
       }
     });
@@ -123,9 +150,17 @@ TEST(ReadingStoreConcurrencyTest, DifferentObjectsAppendWithoutContention) {
   EXPECT_GT(snapshotsRead.load(), 0);
   EXPECT_EQ(f.db.knownMobileObjects().size(),
             static_cast<std::size_t>(kThreads * kObjectsPerThread));
+  auto found = f.db.mobileObjectsIntersecting(f.db.universe());
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, f.db.knownMobileObjects());
   // Writers always targeted distinct objects, so no append ever found its
   // object's writer lock held.
   EXPECT_EQ(f.db.readingWriterContentions(), 0u);
+
+  // A final logout of every object empties every column slot.
+  for (const auto& name : names) f.db.expireReadings(MobileObjectId{name}, SensorId{"ubi-1"});
+  EXPECT_TRUE(f.db.mobileObjectsIntersecting(f.db.universe()).empty());
+  EXPECT_TRUE(f.db.knownMobileObjects().empty());
 }
 
 TEST(ReadingStoreConcurrencyTest, SameObjectAppendsSerializePerObject) {
@@ -236,6 +271,100 @@ TEST(ReadingStoreTest, TtlExpiryBumpsEpochLazilyExactlyOnce) {
   f.db.purgeExpired();
   EXPECT_TRUE(f.db.knownMobileObjects().empty());
   EXPECT_EQ(f.db.catalogEpoch(), catalog + 1);
+}
+
+// --- evidence-box column oracle ------------------------------------------------
+
+/// The brute-force answer the column scan must reproduce: every known
+/// object whose published box meets `q` (closed sets), sorted.
+std::vector<MobileObjectId> bruteForceIntersecting(const db::SpatialDatabase& db,
+                                                   const geo::Rect& q) {
+  std::vector<MobileObjectId> out;
+  for (const auto& id : db.knownMobileObjects()) {
+    const auto box = db.evidenceBoxOf(id);
+    if (box && box->intersects(q)) out.push_back(id);
+  }
+  return out;
+}
+
+TEST(ReadingStoreTest, EvidenceColumnScanMatchesBruteForceOracle) {
+  Fixture f;
+  util::Rng rng{20040};
+  constexpr int kObjects = 40;
+  constexpr int kSteps = 3000;
+  const std::vector<const char*> sensors{"ubi-1", "ubi-2", "ubi-3"};
+  db::SensorMeta extra;  // registered and deregistered as the mix runs
+  extra.sensorId = SensorId{"ubi-3"};
+  extra.sensorType = "Ubisense";
+  extra.errorSpec = quality::ubisenseSpec(1.0);
+  extra.quality.ttl = sec(12);  // shorter than the others: lazy crossings differ
+  bool extraRegistered = false;
+
+  // Half-metre grid coordinates and radii of 0 (a degenerate point box),
+  // 0.5 and 2, so boxes often share an edge or a corner with each other and
+  // with the queries below.
+  const auto gridPoint = [&] {
+    return geo::Point2{0.5 * static_cast<double>(rng.uniformInt(0, 200)),
+                       0.5 * static_cast<double>(rng.uniformInt(0, 100))};
+  };
+  const auto someObject = [&] { return "o" + std::to_string(rng.uniformInt(0, kObjects - 1)); };
+
+  std::size_t checked = 0;
+  std::size_t nonEmptyAnswers = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const std::int64_t op = rng.uniformInt(0, 99);
+    if (op < 60) {
+      const char* sensor = sensors[rng.uniformInt(0, extraRegistered ? 2 : 1)];
+      const std::string person = someObject();
+      db::SensorReading r = f.read(sensor, person.c_str(), gridPoint());
+      r.detectionRadius = std::vector<double>{0.0, 0.5, 2.0}[rng.uniformInt(0, 2)];
+      f.db.insertReading(r);
+    } else if (op < 72) {
+      f.db.expireReadings(MobileObjectId{someObject()},
+                          SensorId{sensors[rng.uniformInt(0, 2)]});
+    } else if (op < 76) {
+      f.db.purgeExpired();
+    } else if (op < 82) {
+      f.db.dropMobileObject(MobileObjectId{someObject()});
+    } else if (op < 86) {
+      if (extraRegistered) {
+        f.db.deregisterSensor(extra.sensorId);  // orphans ubi-3 readings until a purge
+      } else {
+        f.db.registerSensor(extra);
+      }
+      extraRegistered = !extraRegistered;
+    } else {
+      // Time passes; epoch reads cross TTL boundaries lazily (the published
+      // box must not move on such a bump).
+      f.clock.advance(msec(rng.uniformInt(0, 4000)));
+      for (int i = 0; i < 5; ++i) (void)f.db.readingsEpoch(MobileObjectId{someObject()});
+    }
+
+    // Queries: a random rect, a zero-area point, and for a known object a
+    // rect touching its box from outside along an edge and a point at a
+    // corner of it.
+    std::vector<geo::Rect> queries{geo::Rect::fromCorners(gridPoint(), gridPoint())};
+    const geo::Point2 p = gridPoint();
+    queries.push_back(geo::Rect::fromCorners(p, p));
+    const auto known = f.db.knownMobileObjects();
+    if (!known.empty()) {
+      const auto box = f.db.evidenceBoxOf(known[rng.uniformInt(0, known.size() - 1)]);
+      if (box) {
+        queries.push_back(geo::Rect::fromCorners({box->hi().x, box->lo().y},
+                                                 {box->hi().x + 3, box->hi().y + 1}));
+        queries.push_back(geo::Rect::fromCorners(box->lo(), box->lo()));
+      }
+    }
+    for (const geo::Rect& q : queries) {
+      auto found = f.db.mobileObjectsIntersecting(q);
+      std::sort(found.begin(), found.end());
+      ASSERT_EQ(found, bruteForceIntersecting(f.db, q)) << "step " << step << " query " << q;
+      ++checked;
+      nonEmptyAnswers += found.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(checked, static_cast<std::size_t>(2 * kSteps));
+  EXPECT_GT(nonEmptyAnswers, checked / 4) << "the mix must exercise hits, not just misses";
 }
 
 // --- sensor-table epoch discipline (shared helper regression) ------------------
